@@ -12,9 +12,12 @@ conventional measured-mean variant is available through ``mean_from``.
 A score of 0 is a perfect match; around 1 the simulation does no better
 than predicting a constant mean.
 
-Every sum here is sequential in index order with Neumaier compensation, so
-repeated calls are bit-identical and the result does not depend on any
-platform reduction order.
+Scores are computed in one sequential pass over the samples, with no
+platform reduction order involved, so repeated calls are bit-identical. The
+mean source and the error power are Neumaier-compensated running sums read
+off at each window boundary; the denominator is a compensated Welford sum of
+squared deviations plus the shift to the normalizing mean. The full-series
+score is the one-window case of the same pass.
 """
 
 from __future__ import annotations
@@ -76,22 +79,83 @@ def _check_same_grid(measured: UniformSeries, simulated: UniformSeries):
         )
 
 
-def _score_prefix(y: Sequence[float], yhat: Sequence[float], n: int,
-                  mean_from: MeanFrom, window: int | None = None) -> float:
-    mean_src = yhat if mean_from is MeanFrom.SIMULATED else y
-    ybar = compensated_sum(mean_src[k] for k in range(n)) / n
-    num = compensated_sum(
-        (y[k] - yhat[k]) * (y[k] - yhat[k]) for k in range(n)
-    )
-    den = compensated_sum((y[k] - ybar) * (y[k] - ybar) for k in range(n))
-    if den <= 0.0:
-        where = f" in cumulative window {window}" if window is not None else ""
-        raise DegenerateDataError(
-            f"zero NRMSE denominator{where}: the measured samples all equal "
-            f"the normalizing mean {ybar!r}",
-            window=window,
-        )
-    return math.sqrt(num) / math.sqrt(den)
+def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
+                   boundaries: Sequence[int], mean_from: MeanFrom,
+                   windowed: bool = True) -> list[float]:
+    """Scores of the prefixes ending at each of ``boundaries``, in one pass.
+
+    The mean source and the error power are Neumaier running sums, read off
+    at each boundary: the recurrence of :func:`compensated_sum`, never
+    restarted, so each equals the per-prefix sum bit for bit. The
+    denominator is ``M2 + n*(ybar_n - m)**2``, where ``M2`` accumulates the
+    Welford terms ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with compensation and
+    ``ybar_k`` comes from a compensated running sum of ``y``; both parts are
+    non-negative, so nothing cancels. Boundaries are 1-based and strictly
+    increasing; a zero denominator raises, naming the 1-based window when
+    ``windowed``.
+    """
+    from_sim = mean_from is MeanFrom.SIMULATED
+    scores = []
+    ends = iter(boundaries)
+    end = next(ends)
+    s_hi = s_lo = 0.0  # sum of y
+    h_hi = h_lo = 0.0  # sum of yhat
+    e_hi = e_lo = 0.0  # sum of (y - yhat)**2
+    q_hi = q_lo = 0.0  # M2 of y
+    prev = 0.0  # ybar_{k-1}; its factor vanishes at k = 1
+    n = 0
+    for yk, hk in zip(y, yhat):
+        n += 1
+        t = s_hi + yk
+        if abs(s_hi) >= abs(yk):
+            s_lo += (s_hi - t) + yk
+        else:
+            s_lo += (yk - t) + s_hi
+        s_hi = t
+        t = h_hi + hk
+        if abs(h_hi) >= abs(hk):
+            h_lo += (h_hi - t) + hk
+        else:
+            h_lo += (hk - t) + h_hi
+        h_hi = t
+        d = yk - hk
+        v = d * d
+        t = e_hi + v
+        if e_hi >= v:
+            e_lo += (e_hi - t) + v
+        else:
+            e_lo += (v - t) + e_hi
+        e_hi = t
+        mean = (s_hi + s_lo) / n
+        v = (yk - prev) * (yk - mean)
+        prev = mean
+        t = q_hi + v
+        if abs(q_hi) >= abs(v):
+            q_lo += (q_hi - t) + v
+        else:
+            q_lo += (v - t) + q_hi
+        q_hi = t
+        if n != end:
+            continue
+        den = q_hi + q_lo
+        if from_sim:
+            ybar = (h_hi + h_lo) / n
+            den += n * ((mean - ybar) * (mean - ybar))
+        else:
+            ybar = mean
+        if den <= 0.0:
+            window = len(scores) + 1 if windowed else None
+            where = f" in cumulative window {window}" if windowed else ""
+            raise DegenerateDataError(
+                f"zero NRMSE denominator{where}: the measured samples all "
+                f"equal the normalizing mean {ybar!r}",
+                window=window,
+            )
+        scores.append(math.sqrt(e_hi + e_lo) / math.sqrt(den))
+        end = next(ends, None)
+        if end is None:
+            break
+    return scores
 
 
 def nrmse(measured: UniformSeries, simulated: UniformSeries,
@@ -100,8 +164,8 @@ def nrmse(measured: UniformSeries, simulated: UniformSeries,
     _check_same_grid(measured, simulated)
     if len(measured) < 2:
         raise ValidationError("nrmse needs at least 2 samples")
-    return _score_prefix(measured.values, simulated.values, len(measured),
-                         mean_from)
+    return _prefix_scores(measured.values, simulated.values,
+                          (len(measured),), mean_from, windowed=False)[0]
 
 
 @dataclass(frozen=True)
@@ -153,11 +217,9 @@ def cumulative_nrmse(measured: UniformSeries, simulated: UniformSeries,
     if n < 2:
         raise ValidationError("cumulative nrmse needs at least 2 samples")
     boundaries = tuple(round(j * n / k) for j in range(1, k + 1))
-    scores = tuple(
-        _score_prefix(measured.values, simulated.values, b, mean_from, window=j)
-        for j, b in enumerate(boundaries, start=1)
-    )
-    return WindowedNrmse(boundaries=boundaries, scores=scores)
+    scores = _prefix_scores(measured.values, simulated.values, boundaries,
+                            mean_from)
+    return WindowedNrmse(boundaries=boundaries, scores=tuple(scores))
 
 
 def select_reference(scores: Mapping[Any, float]) -> Any:
@@ -188,6 +250,22 @@ class HorizonResult:
     windowed: WindowedNrmse
 
 
+def _check_threshold(threshold: float) -> float:
+    threshold = float(threshold)
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValidationError(f"threshold must be > 0, got {threshold!r}")
+    return threshold
+
+
+def _horizon(windowed: WindowedNrmse, threshold: float,
+             measured: UniformSeries) -> HorizonResult:
+    for j, score in enumerate(windowed.scores):
+        if score > threshold:
+            time = (windowed.boundaries[j - 1] - 1) * measured.dt if j else 0.0
+            return HorizonResult(time=time, exceeded=True, windowed=windowed)
+    return HorizonResult(time=measured.span, exceeded=False, windowed=windowed)
+
+
 def prediction_horizon(measured: UniformSeries, simulated: UniformSeries,
                        threshold: float, n_windows: int = 10,
                        mean_from: MeanFrom = MeanFrom.SIMULATED) -> HorizonResult:
@@ -198,20 +276,9 @@ def prediction_horizon(measured: UniformSeries, simulated: UniformSeries,
     prefix just before it (0.0 when the very first prefix exceeds). If no
     prefix exceeds, the horizon is the full span, flagged ``exceeded=False``.
     """
-    threshold = float(threshold)
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValidationError(f"threshold must be > 0, got {threshold!r}")
+    threshold = _check_threshold(threshold)
     windowed = cumulative_nrmse(measured, simulated, n_windows, mean_from)
-    dt = measured.dt
-    for j, score in enumerate(windowed.scores):
-        if score > threshold:
-            if j == 0:
-                return HorizonResult(time=0.0, exceeded=True, windowed=windowed)
-            end_sample = windowed.boundaries[j - 1]
-            return HorizonResult(
-                time=(end_sample - 1) * dt, exceeded=True, windowed=windowed
-            )
-    return HorizonResult(time=measured.span, exceeded=False, windowed=windowed)
+    return _horizon(windowed, threshold, measured)
 
 
 def divergence_rate(a: UniformSeries, b: UniformSeries,
@@ -282,7 +349,12 @@ class ComparisonReport:
         if not self.candidates:
             raise ValidationError("a report needs at least one candidate")
         best = min(c.full_nrmse for c in self.candidates)
-        ref = next(c for c in self.candidates if c.id == self.reference_id)
+        ref = next((c for c in self.candidates if c.id == self.reference_id),
+                   None)
+        if ref is None:
+            raise ValidationError(
+                f"reference_id {self.reference_id!r} is not among the candidates"
+            )
         if ref.full_nrmse != best:
             raise ValidationError(
                 "reference_id must attain the minimal full NRMSE"
@@ -306,11 +378,14 @@ def build_comparison(measured: TimeSeries,
     All traces are resampled onto the common grid of their domain
     intersection with ``grid_points`` samples; each candidate gets a full
     NRMSE and an ``n_windows``-prefix cumulative profile, plus a prediction
-    horizon when ``threshold`` is given. Candidates are scored in sorted-id
+    horizon read off that same profile when ``threshold`` is given, so each
+    candidate is scored once. Candidates are scored in sorted-id
     order (scoring is pure, so order only affects the report layout).
     """
     if not candidates:
         raise ValidationError("need at least one candidate trace")
+    if threshold is not None:
+        threshold = _check_threshold(threshold)
     grid = build_common_grid([measured, *candidates.values()], grid_points)
     m = resample_linear(measured, grid)
     scored = []
@@ -320,7 +395,7 @@ def build_comparison(measured: TimeSeries,
         full = windowed.scores[-1]
         horizon = None
         if threshold is not None:
-            horizon = prediction_horizon(m, sim, threshold, n_windows, mean_from)
+            horizon = _horizon(windowed, threshold, m)
         scored.append(CandidateScore(
             id=cid, full_nrmse=full, windowed=windowed, horizon=horizon,
         ))

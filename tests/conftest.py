@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from jerklab.metrics import MeanFrom, compensated_sum
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
 
 
@@ -32,6 +33,21 @@ def oracle_nrmse(y, yhat, mean_src=None) -> float:
         mean_src = yhat
     ybar = np.mean(np.asarray(mean_src, dtype=np.float64))
     return float(np.sqrt(np.sum((y - yhat) ** 2)) / np.sqrt(np.sum((y - ybar) ** 2)))
+
+
+def two_pass_nrmse(y, yhat, n, mean_from=MeanFrom.SIMULATED) -> float:
+    """Reference score of the prefix ``[:n]``, re-summed from sample 0.
+
+    The package's former per-prefix scorer: one compensated pass for the
+    normalizing mean, then compensated sums of the error power and of the
+    squared deviations about that mean. O(n) per prefix, so O(K*N) for a
+    whole profile; kept as the oracle for the single-pass scorer.
+    """
+    mean_src = yhat if mean_from is MeanFrom.SIMULATED else y
+    ybar = compensated_sum(mean_src[k] for k in range(n)) / n
+    num = compensated_sum((y[k] - yhat[k]) * (y[k] - yhat[k]) for k in range(n))
+    den = compensated_sum((y[k] - ybar) * (y[k] - ybar) for k in range(n))
+    return math.sqrt(num) / math.sqrt(den)
 
 
 def random_series_pair(rng: random.Random, n=None):

@@ -4,6 +4,8 @@ prediction horizon, divergence rate, and whole-comparison assembly."""
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,17 @@ from jerklab import (
     select_reference,
 )
 
-from conftest import mk_ts, mk_uniform, oracle_nrmse, random_series_pair
+from jerklab import metrics
+from jerklab.metrics import _prefix_scores
+
+from conftest import (
+    assert_bit_equal,
+    mk_ts,
+    mk_uniform,
+    oracle_nrmse,
+    random_series_pair,
+    two_pass_nrmse,
+)
 
 
 class TestCompensatedSum:
@@ -193,6 +205,96 @@ class TestCumulativeNrmse:
         assert w.boundaries == (2, 4)
         assert w.scores[0] == 0.0
         assert w.scores[1] == pytest.approx(0.8944271909999159, abs=1e-15)
+
+
+def _exact_prefix_scores(y, yhat, boundaries, mean_from):
+    """Exact scores in rational arithmetic, rounded to the nearest double.
+
+    The square root is taken at 60 significant digits before that rounding.
+    """
+    src = yhat if mean_from is MeanFrom.SIMULATED else y
+    s_src = s_y = s_yy = s_err = Fraction(0)
+    out = []
+    ends = set(boundaries)
+    for n, (a, b, c) in enumerate(zip(y, yhat, src), start=1):
+        fa, fb = Fraction(a), Fraction(b)
+        s_src += Fraction(c)
+        s_y += fa
+        s_yy += fa * fa
+        s_err += (fa - fb) * (fa - fb)
+        if n in ends:
+            mean = s_src / n
+            den = s_yy - 2 * mean * s_y + n * mean * mean
+            ratio = s_err / den
+            with localcontext() as ctx:
+                ctx.prec = 60
+                out.append(float((Decimal(ratio.numerator)
+                                  / Decimal(ratio.denominator)).sqrt()))
+    return out
+
+
+class TestSinglePassScorer:
+    """The one-pass cumulative scorer against two independent references."""
+
+    REL_TOL = 1e-12
+
+    @pytest.mark.parametrize("mean_from", list(MeanFrom))
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_two_pass_reference_at_every_sample(self, rng, mean_from,
+                                                        offset):
+        n = 300
+        y = [offset + rng.gauss(0.0, 1.0) for _ in range(n)]
+        yhat = [v + rng.gauss(0.0, 0.3) for v in y]
+        # A one-sample prefix has no spread about its own mean, so the
+        # measured-mean variant starts at the second sample.
+        first = 1 if mean_from is MeanFrom.SIMULATED else 2
+        bounds = range(first, n + 1)
+        scores = _prefix_scores(y, yhat, bounds, mean_from)
+        assert len(scores) == len(bounds)
+        for b, score in zip(bounds, scores):
+            assert score == pytest.approx(
+                two_pass_nrmse(y, yhat, b, mean_from), rel=self.REL_TOL), b
+
+    def test_within_a_few_ulp_of_exact_arithmetic(self):
+        from jerklab import IntegratorConfig, Method, simulate
+
+        def run(method, step):
+            return simulate(IntegratorConfig(
+                method=method, t_end=40.0, step=step, output_points=600)).xdd
+
+        measured = run(Method.RK4, 1e-3)
+        candidates = [run(Method.RK4, 4e-3), run(Method.EULER, 1e-3),
+                      run(Method.RK45, 1e-3)]
+        errors = []
+        for sim in candidates:
+            for mean_from in MeanFrom:
+                w = cumulative_nrmse(measured, sim, 30, mean_from)
+                exact = _exact_prefix_scores(measured.values, sim.values,
+                                             w.boundaries, mean_from)
+                for score, ref in zip(w.scores, exact):
+                    errors.append(abs(score - ref) / math.ulp(ref))
+        # Measured on these 180 boundaries, in ulps from the correctly
+        # rounded value (max, mean): this pass 1, 0.43; the former two-pass
+        # scorer 1, 0.40; an uncompensated Welford pass 3, 0.95.
+        assert len(errors) == 180
+        assert max(errors) <= 4.0
+        assert sum(errors) / len(errors) <= 0.5
+
+    def test_degenerate_full_series_has_no_window_index(self):
+        m = mk_uniform([2.0, 2.0, 2.0])
+        with pytest.raises(DegenerateDataError) as info:
+            nrmse(m, mk_uniform([2.0, 2.0, 2.0]))
+        assert info.value.window is None
+        assert "cumulative window" not in str(info.value)
+
+    def test_first_degenerate_window_is_named(self):
+        # A constant measurement is spread about the simulated mean 4.0 of
+        # window 1, but equals the simulated mean 5.0 of window 2.
+        m = mk_uniform([5.0] * 4)
+        s = mk_uniform([4.0, 4.0, 6.0, 6.0])
+        with pytest.raises(DegenerateDataError, match="window 2") as info:
+            cumulative_nrmse(m, s, 2)
+        assert info.value.window == 2
 
 
 class TestWindowedNrmseValidation:
@@ -444,6 +546,45 @@ class TestBuildComparison:
         assert report.candidate("close").horizon.time >= \
             report.candidate("rough").horizon.time
 
+    def test_each_candidate_scored_once(self, monkeypatch):
+        calls = []
+        real = metrics.cumulative_nrmse
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cumulative_nrmse", counting)
+        report = build_comparison(self._measured(), self._candidates(),
+                                  grid_points=101, n_windows=5, threshold=0.1)
+        assert len(calls) == len(report.candidates) == 2
+        assert len({id(sim) for sim in calls}) == 2
+
+    def test_horizons_equal_standalone_prediction_horizon(self):
+        from jerklab import build_common_grid, resample_linear
+
+        measured = self._measured()
+        cands = self._candidates()
+        for threshold in (1e-4, 0.1, 0.5, 10.0):
+            report = build_comparison(measured, cands, grid_points=101,
+                                      n_windows=5, threshold=threshold)
+            grid = build_common_grid([measured, *cands.values()], 101)
+            m = resample_linear(measured, grid)
+            for cid, trace in cands.items():
+                got = report.candidate(cid).horizon
+                want = prediction_horizon(m, resample_linear(trace, grid),
+                                          threshold, n_windows=5)
+                assert got.exceeded == want.exceeded
+                assert_bit_equal(got.time, want.time, f"{cid}@{threshold}")
+                assert got.windowed == want.windowed
+
+    def test_bad_threshold_rejected_before_scoring(self, monkeypatch):
+        monkeypatch.setattr(metrics, "cumulative_nrmse", None)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="threshold"):
+                build_comparison(self._measured(), self._candidates(),
+                                 grid_points=101, threshold=bad)
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
             build_comparison(self._measured(), {})
@@ -458,6 +599,15 @@ class TestBuildComparison:
             ComparisonReport(grid=grid, n_windows=2,
                              mean_from=MeanFrom.SIMULATED,
                              candidates=(good, bad), reference_id="b")
+
+    def test_report_reference_must_be_a_candidate(self):
+        w = WindowedNrmse(boundaries=(5, 10), scores=(0.1, 0.2))
+        only = CandidateScore(id="a", full_nrmse=0.2, windowed=w)
+        from jerklab import CommonGrid
+        with pytest.raises(ValidationError, match="'ghost'"):
+            ComparisonReport(grid=CommonGrid(0.0, 1.0, 10), n_windows=2,
+                             mean_from=MeanFrom.SIMULATED,
+                             candidates=(only,), reference_id="ghost")
 
     def test_unknown_candidate_lookup(self):
         report = build_comparison(self._measured(), self._candidates(),
