@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,9 +24,6 @@ from .errors import DataError, JerkLabError, ValidationError
 from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
-
-_TRACE_FORMATS = ("auto", "csv", "spice")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -37,7 +35,6 @@ class RunConfig:
 
     a: float = JerkParams().a
     sign: str = "minus"
-    time_scale_s: float = JerkParams().time_scale_s
     ic: tuple[float, float, float] = (0.0, 0.0, 0.1)
     method: str = "rk4"
     step: float = 1.0e-3
@@ -68,12 +65,33 @@ class RunConfig:
             raise ValidationError(
                 f"config {path} has unknown keys: {', '.join(unknown)}"
             )
-        if "ic" in doc:
-            doc["ic"] = _parse_ic_list(doc["ic"])
         try:
-            return replace(cls(), **doc)
-        except TypeError as exc:
+            checked = {key: _config_value(key, value) for key, value in doc.items()}
+        except ValidationError as exc:
             raise ValidationError(f"config {path}: {exc}") from None
+        return replace(cls(), **checked)
+
+
+def _config_value(key: str, value):
+    """``value``, checked to have the JSON type its flag parses to: a string,
+    an integer or a finite number (``threshold`` may also be null)."""
+    if key == "ic":
+        return _parse_ic_list(value)
+    if key in ("sign", "method", "mean_from", "format"):
+        ok, want = isinstance(value, str), "a string"
+    elif key in ("output_points", "grid_points", "n_windows"):
+        ok, want = type(value) is int, "an integer"
+    elif key == "threshold" and value is None:
+        return value
+    else:
+        try:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        want = "a finite number"
+    if not ok:
+        raise ValidationError(f"{key} must be {want}, got {value!r}")
+    return value
 
 
 def _parse_ic_list(value) -> tuple[float, float, float]:
@@ -87,7 +105,7 @@ def _parse_ic_list(value) -> tuple[float, float, float]:
         raise ValidationError(f"ic must have exactly 3 components, got {len(parts)}")
     try:
         return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"ic components must be numbers, got {value!r}") from None
 
 
@@ -103,7 +121,9 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _load_traces(args: argparse.Namespace, cfg: RunConfig):
+def _build_report(args: argparse.Namespace, cfg: RunConfig):
+    """Load the measured and candidate traces and score them: the pipeline
+    that ``compare`` and ``horizon`` share."""
     def load(path, source_id):
         try:
             return load_trace(path, fmt=cfg.format, source_id=source_id)
@@ -121,7 +141,13 @@ def _load_traces(args: argparse.Namespace, cfg: RunConfig):
         if name in candidates:
             raise ValidationError(f"duplicate candidate name {name!r}")
         candidates[name] = load(path, name)
-    return measured, candidates
+    return build_comparison(
+        measured, candidates,
+        grid_points=cfg.grid_points,
+        n_windows=cfg.n_windows,
+        mean_from=MeanFrom.parse(cfg.mean_from),
+        threshold=cfg.threshold,
+    )
 
 
 def _report_payload(report, threshold):
@@ -177,8 +203,7 @@ def _default_windows_path(report_path: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    params = JerkParams(a=cfg.a, sign=Sign.parse(cfg.sign),
-                        time_scale_s=cfg.time_scale_s)
+    params = JerkParams(a=cfg.a, sign=Sign.parse(cfg.sign))
     config = IntegratorConfig(
         method=Method.parse(cfg.method),
         t_start=cfg.t_start,
@@ -201,14 +226,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    measured, candidates = _load_traces(args, cfg)
-    report = build_comparison(
-        measured, candidates,
-        grid_points=cfg.grid_points,
-        n_windows=cfg.n_windows,
-        mean_from=MeanFrom.parse(cfg.mean_from),
-        threshold=cfg.threshold,
-    )
+    report = _build_report(args, cfg)
     _write_report_json(args.report, _report_payload(report, cfg.threshold))
     windows_path = args.windows_out or _default_windows_path(args.report)
     _write_windows_csv(windows_path, report)
@@ -225,16 +243,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     if cfg.threshold is None:
         cfg = replace(cfg, threshold=1.0)
-    if not cfg.threshold > 0.0:
-        raise ValidationError(f"threshold must be > 0, got {cfg.threshold!r}")
-    measured, candidates = _load_traces(args, cfg)
-    report = build_comparison(
-        measured, candidates,
-        grid_points=cfg.grid_points,
-        n_windows=cfg.n_windows,
-        mean_from=MeanFrom.parse(cfg.mean_from),
-        threshold=cfg.threshold,
-    )
+    report = _build_report(args, cfg)
     best_id = None
     best_time = None
     for cand in report.candidates:
@@ -259,8 +268,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="integrate the system, write a trace CSV")
-    sim.add_argument("--config", help="JSON config file (flags override it)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file (flags override it)")
+
+    traces = argparse.ArgumentParser(add_help=False)
+    traces.add_argument("--measured", required=True, help="measured trace file")
+    traces.add_argument("--candidate", action="append", required=True,
+                        metavar="NAME=FILE", help="candidate trace (repeatable)")
+    traces.add_argument("--windows", type=int, dest="n_windows",
+                        help="number of cumulative windows (default 10)")
+    traces.add_argument("--grid-points", type=int, dest="grid_points",
+                        help="common-grid sample count (default 4700)")
+    traces.add_argument("--nrmse-mean", choices=("simulated", "measured"),
+                        dest="mean_from", help="which series supplies the "
+                        "normalizing mean (default simulated)")
+    traces.add_argument("--format", choices=("auto", "csv", "spice"),
+                        help="trace file format (default auto-sniff)")
+
+    sim = sub.add_parser("simulate", parents=[config],
+                         help="integrate the system, write a trace CSV")
     sim.add_argument("--a", type=float, dest="a",
                      help="bifurcation parameter (default 2.03)")
     sim.add_argument("--sign", choices=("minus", "plus"),
@@ -278,46 +304,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output trace CSV path")
     sim.set_defaults(func=cmd_simulate)
 
-    comp = sub.add_parser("compare",
+    comp = sub.add_parser("compare", parents=[config, traces],
                           help="score candidate traces against a measured trace")
-    comp.add_argument("--config", help="JSON config file (flags override it)")
-    comp.add_argument("--measured", required=True, help="measured trace file")
-    comp.add_argument("--candidate", action="append", required=True,
-                      metavar="NAME=FILE", help="candidate trace (repeatable)")
-    comp.add_argument("--windows", type=int, dest="n_windows",
-                      help="number of cumulative windows (default 10)")
-    comp.add_argument("--grid-points", type=int, dest="grid_points",
-                      help="common-grid sample count (default 4700)")
     comp.add_argument("--threshold", type=float,
                       help="also compute prediction horizons at this NRMSE "
                            "threshold")
-    comp.add_argument("--nrmse-mean", choices=("simulated", "measured"),
-                      dest="mean_from", help="which series supplies the "
-                      "normalizing mean (default simulated)")
-    comp.add_argument("--format", choices=_TRACE_FORMATS,
-                      help="trace file format (default auto-sniff)")
     comp.add_argument("--report", default="report.json",
                       help="JSON report path (default report.json)")
     comp.add_argument("--windows-out",
                       help="per-window CSV path (default <report>_windows.csv)")
     comp.set_defaults(func=cmd_compare)
 
-    hor = sub.add_parser("horizon", help="per-candidate prediction horizons")
-    hor.add_argument("--config", help="JSON config file (flags override it)")
-    hor.add_argument("--measured", required=True, help="measured trace file")
-    hor.add_argument("--candidate", action="append", required=True,
-                     metavar="NAME=FILE", help="candidate trace (repeatable)")
+    hor = sub.add_parser("horizon", parents=[config, traces],
+                         help="per-candidate prediction horizons")
     hor.add_argument("--threshold", type=float,
                      help="NRMSE threshold (default 1.0)")
-    hor.add_argument("--windows", type=int, dest="n_windows",
-                     help="number of cumulative windows (default 10)")
-    hor.add_argument("--grid-points", type=int, dest="grid_points",
-                     help="common-grid sample count (default 4700)")
-    hor.add_argument("--nrmse-mean", choices=("simulated", "measured"),
-                     dest="mean_from", help="which series supplies the "
-                     "normalizing mean (default simulated)")
-    hor.add_argument("--format", choices=_TRACE_FORMATS,
-                     help="trace file format (default auto-sniff)")
     hor.add_argument("--report", help="optional JSON report path")
     hor.set_defaults(func=cmd_horizon)
 

@@ -30,10 +30,6 @@ CHAOTIC_A_UPPER = 2.0577
 #: Default bifurcation parameter: comfortably interior to the chaotic window.
 DEFAULT_A = 2.03
 
-#: Seconds of wall-clock ("circuit") time per dimensionless time unit for the
-#: reference analogue realization: a 1 kOhm / 1 uF integrator stage.
-DEFAULT_TIME_SCALE_S = 1.0e-3
-
 
 class Sign(enum.Enum):
     """Which sign the quadratic term carries."""
@@ -99,7 +95,6 @@ class JerkParams:
 
     a: float = DEFAULT_A
     sign: Sign = Sign.MINUS
-    time_scale_s: float = DEFAULT_TIME_SCALE_S
     quadratic: bool = True
 
     def __post_init__(self):
@@ -109,10 +104,6 @@ class JerkParams:
         object.__setattr__(self, "a", a)
         if not isinstance(self.sign, Sign):
             raise ValidationError(f"sign must be a Sign, got {self.sign!r}")
-        ts = _require_finite("time_scale_s", self.time_scale_s)
-        if ts <= 0.0:
-            raise ValidationError(f"time_scale_s must be > 0, got {ts!r}")
-        object.__setattr__(self, "time_scale_s", ts)
 
 
 def jerk_rhs(state: SystemState, params: JerkParams) -> SystemState:
@@ -138,6 +129,8 @@ def circuit_time_scale(resistance_ohm: float, capacitance_farad: float) -> float
 
     One dimensionless time unit corresponds to tau = R*C seconds, so e.g.
     1 kOhm with 1 uF gives 1 ms per unit and a 0.1 s capture spans 100 units.
+    Divide a capture's time axis in seconds by this value to put it in model
+    time before comparing it with simulated traces.
     """
     r = _require_finite("resistance_ohm", resistance_ohm)
     c = _require_finite("capacitance_farad", capacitance_farad)

@@ -168,16 +168,25 @@ def _finite3(s) -> bool:
     return math.isfinite(s[0]) and math.isfinite(s[1]) and math.isfinite(s[2])
 
 
-def euler_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
-    """One forward-Euler step."""
+def _step(kernel, name: str, state: SystemState, h: float, params: JerkParams,
+          ) -> SystemState:
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
         raise ValidationError(f"step must be > 0, got {h!r}")
-    out = _euler(state.x, state.xd, state.xdd, h,
+    out = kernel(state.x, state.xd, state.xdd, h,
                  params.a, params.sign.factor, params.quadratic)
+    # A non-finite stage cannot hide: it reaches the state through h*k with
+    # h > 0 finite, so checking the result covers every stage.
     if not _finite3(out):
-        raise IntegrationOverflowError("euler step produced a non-finite state")
+        raise IntegrationOverflowError(
+            f"{name} step produced a non-finite state (h={h!r})"
+        )
     return SystemState(*out)
+
+
+def euler_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
+    """One forward-Euler step."""
+    return _step(_euler, "euler", state, h, params)
 
 
 def rk4_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
@@ -186,47 +195,22 @@ def rk4_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
     The four stages are evaluated in the fixed order k1..k4 and combined as
     (k1 + 2k2 + 2k3 + k4)/6, so repeated calls are bit-identical.
     """
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step must be > 0, got {h!r}")
-    a, sf, quad = params.a, params.sign.factor, params.quadratic
-    x, xd, xdd = state.x, state.xd, state.xdd
-    k1 = _rhs(x, xd, xdd, a, sf, quad)
-    k2 = _rhs(x + 0.5 * h * k1[0], xd + 0.5 * h * k1[1], xdd + 0.5 * h * k1[2],
-              a, sf, quad)
-    k3 = _rhs(x + 0.5 * h * k2[0], xd + 0.5 * h * k2[1], xdd + 0.5 * h * k2[2],
-              a, sf, quad)
-    k4 = _rhs(x + h * k3[0], xd + h * k3[1], xdd + h * k3[2], a, sf, quad)
-    for i, stage in enumerate((k1, k2, k3, k4), start=1):
-        if not _finite3(stage):
-            raise IntegrationOverflowError(
-                f"rk4 stage k{i} is non-finite (step h={h!r})"
-            )
-    out = (
-        x + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0,
-        xd + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0,
-        xdd + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0,
-    )
-    if not _finite3(out):
-        raise IntegrationOverflowError("rk4 step produced a non-finite state")
-    return SystemState(*out)
+    return _step(_rk4, "rk4", state, h, params)
 
 
 # ---------------------------------------------------------------------------
 
-def _result(config: IntegratorConfig, dt_out: float, xs, xds, xdds,
-            ) -> SimulationResult:
+def _channels(config: IntegratorConfig, dt_out: float, xs, xds, xdds,
+              ) -> tuple[UniformSeries, UniformSeries, UniformSeries]:
+    """The x, xd and xdd samples as series on the output grid."""
     source = config.method.value
-    mk = lambda vals, name: UniformSeries(
-        t0=config.t_start, dt=dt_out, values=tuple(vals),
-        meta=SeriesMeta(source_id=source, signal=name, unit="dimensionless"),
+    return tuple(
+        UniformSeries(
+            t0=config.t_start, dt=dt_out, values=tuple(vals),
+            meta=SeriesMeta(source_id=source, signal=name, unit="dimensionless"),
+        )
+        for vals, name in ((xs, "x"), (xds, "xd"), (xdds, "xdd"))
     )
-    return SimulationResult(x=mk(xs, "x"), xd=mk(xds, "xd"), xdd=mk(xdds, "xdd"))
-
-
-def _partial(config: IntegratorConfig, dt_out: float, xs, xds, xdds):
-    res = _result(config, dt_out, xs, xds, xdds)
-    return (res.x, res.xd, res.xdd)
 
 
 def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
@@ -252,12 +236,12 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
                 raise IntegrationOverflowError(
                     "integration diverged to non-finite values",
                     last_valid_time=base + i * h,
-                    partial=_partial(config, dt_out, xs, xds, xdds),
+                    partial=_channels(config, dt_out, xs, xds, xdds),
                 )
         xs.append(s[0])
         xds.append(s[1])
         xdds.append(s[2])
-    return _result(config, dt_out, xs, xds, xdds)
+    return SimulationResult(*_channels(config, dt_out, xs, xds, xdds))
 
 
 def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
@@ -274,7 +258,7 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         while count < p and config.t_start + count * dt_out <= upto_t:
             count += 1
         xs, xds, xdds = _dense(knot_t, knot_y, config.t_start, dt_out, count)
-        return _partial(config, dt_out, xs, xds, xdds)
+        return _channels(config, dt_out, xs, xds, xdds)
 
     t = config.t_start
     y = knot_y[0]
@@ -345,7 +329,7 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
             )
 
     xs, xds, xdds = _dense(knot_t, knot_y, config.t_start, dt_out, p)
-    return _result(config, dt_out, xs, xds, xdds)
+    return SimulationResult(*_channels(config, dt_out, xs, xds, xdds))
 
 
 def _dense(knot_t, knot_y, t0, dt_out, count):

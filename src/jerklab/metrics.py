@@ -36,20 +36,6 @@ from .errors import (
 from .series import TimeSeries, UniformSeries
 
 
-def compensated_sum(values) -> float:
-    """Neumaier-compensated sequential sum over an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        s = total + v
-        if abs(total) >= abs(v):
-            carry += (total - s) + v
-        else:
-            carry += (v - s) + total
-        total = s
-    return total + carry
-
-
 class MeanFrom(enum.Enum):
     """Which series supplies the normalizing mean ``ybar``."""
 
@@ -85,11 +71,11 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
     """Scores of the prefixes ending at each of ``boundaries``, in one pass.
 
     The mean source and the error power are Neumaier running sums, read off
-    at each boundary: the recurrence of :func:`compensated_sum`, never
-    restarted, so each equals the per-prefix sum bit for bit. The
-    denominator is ``M2 + n*(ybar_n - m)**2``, where ``M2`` accumulates the
-    Welford terms ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with compensation and
-    ``ybar_k`` comes from a compensated running sum of ``y``; both parts are
+    at each boundary and never restarted, so each equals a Neumaier sum of
+    that prefix bit for bit. The denominator is ``M2 + n*(ybar_n - m)**2``,
+    where ``M2`` accumulates the Welford terms
+    ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with compensation and ``ybar_k``
+    comes from a compensated running sum of ``y``; both parts are
     non-negative, so nothing cancels. Boundaries are 1-based and strictly
     increasing; a zero denominator raises, naming the 1-based window when
     ``windowed``.
@@ -310,14 +296,10 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
         logs.append(math.log(d))
     times = [a.time_at(k) for k in range(start, end + 1)]
     n = len(times)
-    t_mean = compensated_sum(times) / n
-    l_mean = compensated_sum(logs) / n
-    cov = compensated_sum(
-        (times[i] - t_mean) * (logs[i] - l_mean) for i in range(n)
-    )
-    var = compensated_sum(
-        (times[i] - t_mean) * (times[i] - t_mean) for i in range(n)
-    )
+    t_mean = math.fsum(times) / n
+    l_mean = math.fsum(logs) / n
+    cov = math.fsum((times[i] - t_mean) * (logs[i] - l_mean) for i in range(n))
+    var = math.fsum((times[i] - t_mean) * (times[i] - t_mean) for i in range(n))
     return cov / var
 
 

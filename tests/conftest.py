@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from jerklab.metrics import MeanFrom, compensated_sum
+from jerklab.metrics import MeanFrom
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
 
 
@@ -33,6 +33,20 @@ def oracle_nrmse(y, yhat, mean_src=None) -> float:
         mean_src = yhat
     ybar = np.mean(np.asarray(mean_src, dtype=np.float64))
     return float(np.sqrt(np.sum((y - yhat) ** 2)) / np.sqrt(np.sum((y - ybar) ** 2)))
+
+
+def compensated_sum(values) -> float:
+    """Neumaier-compensated sequential sum over an iterable of floats."""
+    total = 0.0
+    carry = 0.0
+    for v in values:
+        s = total + v
+        if abs(total) >= abs(v):
+            carry += (total - s) + v
+        else:
+            carry += (v - s) + total
+        total = s
+    return total + carry
 
 
 def two_pass_nrmse(y, yhat, n, mean_from=MeanFrom.SIMULATED) -> float:

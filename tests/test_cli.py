@@ -358,6 +358,37 @@ class TestHorizon:
         assert "winner: fine" in stdout
 
 
+class TestSharedPipeline:
+    """``compare`` and ``horizon`` run one pipeline over the same flags."""
+
+    def test_reports_byte_identical(self, capsys, trace_dir):
+        tmp_path, files = trace_dir
+        shared = ["--measured", files["measured"],
+                  "--candidate", f"close={files['close']}",
+                  "--candidate", f"rough={files['rough']}",
+                  "--grid-points", "101", "--windows", "5",
+                  "--threshold", "0.1"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(capsys, "compare", *shared, "--report", str(a))[0] == 0
+        assert run_cli(capsys, "horizon", *shared, "--report", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_horizon_takes_threshold_from_config(self, capsys, trace_dir):
+        tmp_path, files = trace_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 0.01}))
+        rp = tmp_path / "r.json"
+        code, stdout, _ = run_cli(
+            capsys, "horizon", "--config", str(cfg),
+            "--measured", files["measured"],
+            "--candidate", f"rough={files['rough']}",
+            "--grid-points", "101", "--report", str(rp))
+        assert code == 0
+        assert json.loads(rp.read_text())["threshold"] == 0.01
+        # Under the default threshold of 1.0 this horizon would be 1.9.
+        assert "rough: horizon=0 (exceeded)" in stdout
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -386,6 +417,42 @@ class TestConfigFile:
             "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "unknown keys" in stderr
+
+    def test_time_scale_key_rejected(self, capsys, tmp_path):
+        # time_scale_s changed no output, so a file that sets it is refused.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"time_scale_s": 1e-3}))
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--config", str(cfg),
+            "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "unknown keys: time_scale_s" in stderr
+
+    @pytest.mark.parametrize("command,doc", [
+        ("simulate", {"a": "abc"}),
+        ("simulate", {"output_points": math.nan}),
+        ("compare", {"grid_points": math.nan}),
+        ("simulate", {"step": None}),
+        ("simulate", {"sign": 5}),
+        ("simulate", {"t_end": 10 ** 400}),
+        ("simulate", {"ic": [10 ** 400, 0, 0]}),
+    ], ids=["a-string", "points-nan", "grid-points-nan", "step-null",
+            "sign-number", "t-end-huge-int", "ic-huge-int"])
+    def test_malformed_value_is_usage_error(self, capsys, trace_dir,
+                                            command, doc):
+        tmp_path, files = trace_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if command == "simulate":
+            rest = ["--out", str(tmp_path / "x.csv")]
+        else:
+            rest = ["--measured", files["measured"],
+                    "--candidate", f"close={files['close']}",
+                    "--report", str(tmp_path / "r.json")]
+        code, _, stderr = run_cli(capsys, command, "--config", str(cfg), *rest)
+        assert code == 2
+        (key,) = doc
+        assert stderr.startswith(f"error: config {cfg}: {key} ")
 
     def test_invalid_json_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

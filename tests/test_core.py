@@ -96,7 +96,6 @@ class TestJerkParams:
         p = JerkParams()
         assert p.a == DEFAULT_A == 2.03
         assert p.sign is Sign.MINUS
-        assert p.time_scale_s == 1e-3
         assert p.quadratic is True
 
     @pytest.mark.parametrize("bad_a", [0.0, -1.0, -2.03])
@@ -108,10 +107,6 @@ class TestJerkParams:
     def test_rejects_nonfinite_damping(self, bad_a):
         with pytest.raises(ValidationError):
             JerkParams(a=bad_a)
-
-    def test_rejects_nonpositive_time_scale(self):
-        with pytest.raises(ValidationError):
-            JerkParams(time_scale_s=0.0)
 
     def test_rejects_plain_number_for_sign(self):
         with pytest.raises(ValidationError):

@@ -188,16 +188,20 @@ class TestSubstepScheme:
         assert res_a.x.values == res_b.x.values
         assert res_a.xdd.values == res_b.xdd.values
 
-    def test_exact_divisor_takes_single_substep(self):
+    @pytest.mark.parametrize("method,step", [(Method.RK4, rk4_step),
+                                             (Method.EULER, euler_step)],
+                             ids=["rk4", "euler"])
+    def test_exact_divisor_takes_single_substep(self, method, step):
         # step == dt_out must mean one substep per interval: the emitted
-        # samples then coincide with a hand-rolled chain of rk4_step calls.
-        c = IntegratorConfig(t_end=1.0, step=0.1, output_points=11)
+        # samples then coincide with a hand-rolled chain of public steps.
+        c = IntegratorConfig(method=method, t_end=1.0, step=0.1,
+                             output_points=11)
         res = simulate(c)
         p = JerkParams()
         s = c.initial_state
         expected = [s.as_tuple()]
         for _ in range(10):
-            s = rk4_step(s, res.x.dt, p)
+            s = step(s, res.x.dt, p)
             expected.append(s.as_tuple())
         got = list(zip(res.x.values, res.xd.values, res.xdd.values))
         assert got == expected

@@ -20,7 +20,6 @@ from jerklab import (
     ValidationError,
     WindowedNrmse,
     build_comparison,
-    compensated_sum,
     cumulative_nrmse,
     divergence_rate,
     nrmse,
@@ -33,6 +32,7 @@ from jerklab.metrics import _prefix_scores
 
 from conftest import (
     assert_bit_equal,
+    compensated_sum,
     mk_ts,
     mk_uniform,
     oracle_nrmse,
