@@ -6,6 +6,8 @@ Run:  python3 demos/04_trace_files.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from jerklab import (
     IntegratorConfig,
     ParseError,
@@ -25,7 +27,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = tmp / "xdd.csv"
     path.write_bytes(write_series_csv(res.xdd))
     back = load_trace(path)
-    exact = back.v == res.xdd.values
+    exact = np.array_equal(back.v, res.xdd.values)
     print(f"wrote {len(back)} samples to {path.name}; "
           f"values round-tripped bit-exactly: {exact}")
 

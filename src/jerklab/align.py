@@ -84,17 +84,16 @@ def resample_linear(trace: TimeSeries, grid: CommonGrid) -> UniformSeries:
       except for a few-ulp float overhang at the domain edges (an artifact of
       the multiplicative grid formula), which is clamped to the endpoint.
     """
-    t = np.asarray(trace.t, dtype=np.float64)
-    v = np.asarray(trace.v, dtype=np.float64)
+    t, v = trace.t, trace.v
     q = grid.times()
 
     # Domain check with a 4-ulp tolerance band at each edge.
-    lo, hi = t[0], t[-1]
-    edge = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    lo, hi = trace.domain
+    edge = 4.0 * np.spacing(max(abs(lo), abs(hi)))
     if q[0] < lo - edge or q[-1] > hi + edge:
         raise ExtrapolationError(
-            f"grid [{q[0]!r}, {q[-1]!r}] is not contained in the trace "
-            f"domain [{lo!r}, {hi!r}]"
+            f"grid [{float(q[0])!r}, {float(q[-1])!r}] is not contained in "
+            f"the trace domain [{lo!r}, {hi!r}]"
         )
     q = np.clip(q, lo, hi)
 
@@ -113,8 +112,4 @@ def resample_linear(trace: TimeSeries, grid: CommonGrid) -> UniformSeries:
     out = np.where(w == 0.0, va, np.where(w == 1.0, vb, out))
     out = np.minimum(np.maximum(out, np.minimum(va, vb)), np.maximum(va, vb))
 
-    return UniformSeries(
-        t0=grid.t0, dt=grid.dt,
-        values=tuple(float(x) for x in out),
-        meta=trace.meta,
-    )
+    return UniformSeries(t0=grid.t0, dt=grid.dt, values=out, meta=trace.meta)

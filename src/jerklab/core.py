@@ -106,17 +106,23 @@ class JerkParams:
             raise ValidationError(f"sign must be a Sign, got {self.sign!r}")
 
 
+def _rhs(x, xd, xdd, a, sf, quad):
+    # The integrators' kernel, on bare floats; its operation order is fixed.
+    jerk = -(a * xdd) - x
+    if quad:
+        jerk += sf * (xd * xd)
+    return xd, xdd, jerk
+
+
 def jerk_rhs(state: SystemState, params: JerkParams) -> SystemState:
     """Time derivative of the state.
 
     Returns (x', x'', x''') packed as a :class:`SystemState`; the third
-    component is the jerk  -a*xdd - x + sign*xd**2.
+    component is the jerk  -a*xdd - x + sign*xd**2. Every integrator steps
+    with this same kernel.
     """
-    x, xd, xdd = state.x, state.xd, state.xdd
-    jerk = -(params.a * xdd) - x
-    if params.quadratic:
-        jerk += params.sign.factor * (xd * xd)
-    return SystemState(xd, xdd, jerk)
+    return SystemState(*_rhs(state.x, state.xd, state.xdd, params.a,
+                             params.sign.factor, params.quadratic))
 
 
 def in_chaotic_range(params: JerkParams) -> bool:

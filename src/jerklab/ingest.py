@@ -93,7 +93,7 @@ def _parse_rows(numbered, time_col: int, value_col: int, delimiter: str,
         values.append(v)
     if len(times) < 2:
         raise InsufficientDataError(max(last_line, 1), len(times))
-    return TimeSeries(t=tuple(times), v=tuple(values), meta=meta)
+    return TimeSeries(t=times, v=values, meta=meta)
 
 
 def parse_trace_csv(data: bytes | str, options: CsvOptions = CsvOptions(),
@@ -161,9 +161,9 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
     :func:`parse_trace_csv` bit-exactly.
     """
     if isinstance(series, UniformSeries):
-        pairs = zip(series.times(), series.values)
+        pairs = zip(series.times().tolist(), series.values.tolist())
     elif isinstance(series, TimeSeries):
-        pairs = zip(series.t, series.v)
+        pairs = zip(series.t.tolist(), series.v.tolist())
     else:
         raise ValidationError(
             f"expected a TimeSeries or UniformSeries, got {type(series).__name__}"

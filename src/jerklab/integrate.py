@@ -28,7 +28,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState
+import numpy as np
+
+from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState, _rhs
 from .errors import IntegrationOverflowError, ValidationError
 from .series import SeriesMeta, UniformSeries
 
@@ -138,13 +140,6 @@ class SimulationResult:
 # overhead; the public *_step operations wrap them with validated types.
 # Stage order is fixed; changing it would change results in the last ulp.
 
-def _rhs(x, xd, xdd, a, sf, quad):
-    jerk = -(a * xdd) - x
-    if quad:
-        jerk += sf * (xd * xd)
-    return xd, xdd, jerk
-
-
 def _euler(x, xd, xdd, h, a, sf, quad):
     d = _rhs(x, xd, xdd, a, sf, quad)
     return x + h * d[0], xd + h * d[1], xdd + h * d[2]
@@ -200,16 +195,16 @@ def rk4_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
 
 # ---------------------------------------------------------------------------
 
-def _channels(config: IntegratorConfig, dt_out: float, xs, xds, xdds,
+def _channels(config: IntegratorConfig, dt_out: float, states,
               ) -> tuple[UniformSeries, UniformSeries, UniformSeries]:
-    """The x, xd and xdd samples as series on the output grid."""
+    """The x, xd and xdd channels of ``states`` as series on the output grid."""
     source = config.method.value
     return tuple(
         UniformSeries(
-            t0=config.t_start, dt=dt_out, values=tuple(vals),
+            t0=config.t_start, dt=dt_out, values=vals,
             meta=SeriesMeta(source_id=source, signal=name, unit="dimensionless"),
         )
-        for vals, name in ((xs, "x"), (xds, "xd"), (xdds, "xdd"))
+        for vals, name in zip(np.array(states).T, ("x", "xd", "xdd"))
     )
 
 
@@ -225,9 +220,7 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
     a, sf, quad = params.a, params.sign.factor, params.quadratic
 
     s = config.initial_state.as_tuple()
-    xs = [s[0]]
-    xds = [s[1]]
-    xdds = [s[2]]
+    states = [s]
     for k in range(1, p):
         base = config.t_start + (k - 1) * dt_out
         for i in range(n_sub):
@@ -236,12 +229,10 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
                 raise IntegrationOverflowError(
                     "integration diverged to non-finite values",
                     last_valid_time=base + i * h,
-                    partial=_channels(config, dt_out, xs, xds, xdds),
+                    partial=_channels(config, dt_out, states),
                 )
-        xs.append(s[0])
-        xds.append(s[1])
-        xdds.append(s[2])
-    return SimulationResult(*_channels(config, dt_out, xs, xds, xdds))
+        states.append(s)
+    return SimulationResult(*_channels(config, dt_out, states))
 
 
 def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
@@ -257,8 +248,9 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         count = 1
         while count < p and config.t_start + count * dt_out <= upto_t:
             count += 1
-        xs, xds, xdds = _dense(knot_t, knot_y, config.t_start, dt_out, count)
-        return _channels(config, dt_out, xs, xds, xdds)
+        return _channels(
+            config, dt_out, _dense(knot_t, knot_y, config.t_start, dt_out, count)
+        )
 
     t = config.t_start
     y = knot_y[0]
@@ -328,13 +320,13 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
                 partial=dense_partial(t),
             )
 
-    xs, xds, xdds = _dense(knot_t, knot_y, config.t_start, dt_out, p)
-    return SimulationResult(*_channels(config, dt_out, xs, xds, xdds))
+    states = _dense(knot_t, knot_y, config.t_start, dt_out, p)
+    return SimulationResult(*_channels(config, dt_out, states))
 
 
 def _dense(knot_t, knot_y, t0, dt_out, count):
     """Linear interpolation of accepted steps onto the first ``count`` grid points."""
-    xs, xds, xdds = [], [], []
+    states = []
     j = 0
     last = len(knot_t) - 1
     for k in range(count):
@@ -343,23 +335,16 @@ def _dense(knot_t, knot_y, t0, dt_out, count):
             j += 1
         ta, tb = knot_t[j], knot_t[j + 1] if j < last else knot_t[j]
         if j >= last or tq <= ta:
-            ya = knot_y[j]
-            xs.append(ya[0])
-            xds.append(ya[1])
-            xdds.append(ya[2])
+            states.append(knot_y[j])
             continue
         if tq >= tb:
-            yb = knot_y[j + 1]
-            xs.append(yb[0])
-            xds.append(yb[1])
-            xdds.append(yb[2])
+            states.append(knot_y[j + 1])
             continue
         w = (tq - ta) / (tb - ta)
         ya, yb = knot_y[j], knot_y[j + 1]
-        xs.append(ya[0] + w * (yb[0] - ya[0]))
-        xds.append(ya[1] + w * (yb[1] - ya[1]))
-        xdds.append(ya[2] + w * (yb[2] - ya[2]))
-    return xs, xds, xdds
+        states.append((ya[0] + w * (yb[0] - ya[0]), ya[1] + w * (yb[1] - ya[1]),
+                       ya[2] + w * (yb[2] - ya[2])))
+    return states
 
 
 def simulate(config: IntegratorConfig, params: JerkParams | None = None,

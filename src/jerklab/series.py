@@ -1,10 +1,16 @@
-"""Trace containers: raw (possibly non-uniform) and uniform-grid series."""
+"""Trace containers: raw (possibly non-uniform) and uniform-grid series.
+
+Samples are read-only 1-D float64 arrays, copied and validated once; series
+compare by identity.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -18,15 +24,19 @@ class SeriesMeta:
     unit: str = ""
 
 
-def _as_float_tuple(name: str, values: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise ValidationError(f"{name}[{i}] must be finite, got {v!r}")
+def _as_array(name: str, values: Iterable[float]) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)  # a copy the caller cannot reach
+    if out.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got shape {out.shape}")
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"{name}[{i}] must be finite, got {float(out[i])!r}")
+    out.flags.writeable = False
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A raw trace: strictly increasing timestamps with one value each.
 
@@ -34,25 +44,26 @@ class TimeSeries:
     samples are required (a single point has no time extent to analyze).
     """
 
-    t: tuple[float, ...]
-    v: tuple[float, ...]
+    t: np.ndarray
+    v: np.ndarray
     meta: SeriesMeta = field(default_factory=SeriesMeta)
 
     def __post_init__(self):
-        t = _as_float_tuple("t", self.t)
-        v = _as_float_tuple("v", self.v)
+        t = _as_array("t", self.t)
+        v = _as_array("v", self.v)
         if len(t) != len(v):
             raise ValidationError(
                 f"t and v must have equal length, got {len(t)} and {len(v)}"
             )
         if len(t) < 2:
             raise ValidationError(f"a series needs at least 2 samples, got {len(t)}")
-        for i in range(1, len(t)):
-            if t[i] <= t[i - 1]:
-                raise ValidationError(
-                    f"timestamps must be strictly increasing, but "
-                    f"t[{i}]={t[i]!r} <= t[{i - 1}]={t[i - 1]!r}"
-                )
+        bad = np.flatnonzero(t[1:] <= t[:-1])
+        if bad.size:
+            i = int(bad[0]) + 1
+            raise ValidationError(
+                f"timestamps must be strictly increasing, but "
+                f"t[{i}]={float(t[i])!r} <= t[{i - 1}]={float(t[i - 1])!r}"
+            )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
 
@@ -61,18 +72,18 @@ class TimeSeries:
 
     @property
     def t_start(self) -> float:
-        return self.t[0]
+        return float(self.t[0])
 
     @property
     def t_end(self) -> float:
-        return self.t[-1]
+        return float(self.t[-1])
 
     @property
     def domain(self) -> tuple[float, float]:
-        return (self.t[0], self.t[-1])
+        return (self.t_start, self.t_end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformSeries:
     """A trace on a uniform grid t[k] = t0 + k*dt.
 
@@ -83,7 +94,7 @@ class UniformSeries:
 
     t0: float
     dt: float
-    values: tuple[float, ...]
+    values: np.ndarray
     meta: SeriesMeta = field(default_factory=SeriesMeta)
 
     def __post_init__(self):
@@ -93,8 +104,8 @@ class UniformSeries:
             raise ValidationError(f"t0 must be finite, got {t0!r}")
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
-        values = _as_float_tuple("values", self.values)
-        if not values:
+        values = _as_array("values", self.values)
+        if not values.size:
             raise ValidationError("values must be non-empty")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "dt", dt)
@@ -111,8 +122,9 @@ class UniformSeries:
             )
         return self.t0 + k * self.dt
 
-    def times(self) -> tuple[float, ...]:
-        return tuple(self.t0 + k * self.dt for k in range(len(self.values)))
+    def times(self) -> np.ndarray:
+        """All timestamps, each bit-equal to ``time_at(k)``."""
+        return self.t0 + np.arange(len(self.values)) * self.dt
 
     @property
     def t_end(self) -> float:
@@ -125,8 +137,4 @@ class UniformSeries:
 
     def to_time_series(self) -> TimeSeries:
         """Materialize the grid into an explicit-timestamp trace."""
-        if len(self.values) < 2:
-            raise ValidationError(
-                "cannot convert a single-sample series to a TimeSeries"
-            )
         return TimeSeries(t=self.times(), v=self.values, meta=self.meta)

@@ -13,12 +13,12 @@ from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
 
 
 def mk_uniform(values, t0=0.0, dt=1.0, **meta) -> UniformSeries:
-    return UniformSeries(t0=t0, dt=dt, values=tuple(values),
+    return UniformSeries(t0=t0, dt=dt, values=values,
                          meta=SeriesMeta(**meta))
 
 
 def mk_ts(t, v, **meta) -> TimeSeries:
-    return TimeSeries(t=tuple(t), v=tuple(v), meta=SeriesMeta(**meta))
+    return TimeSeries(t=t, v=v, meta=SeriesMeta(**meta))
 
 
 def oracle_nrmse(y, yhat, mean_src=None) -> float:

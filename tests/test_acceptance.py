@@ -50,7 +50,7 @@ from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
 
 
 def _uniform(values, t0=0.0, dt=1.0) -> UniformSeries:
-    return UniformSeries(t0=t0, dt=dt, values=tuple(values), meta=SeriesMeta())
+    return UniformSeries(t0=t0, dt=dt, values=values, meta=SeriesMeta())
 
 
 def _random_pair(rnd: random.Random, n=None):
@@ -321,7 +321,7 @@ def criterion_8():
             t.append(acc)
         v = [rnd.gauss(0.0, 1.0) * 10.0 ** rnd.uniform(-15, 15)
              for _ in range(n)]
-        original = TimeSeries(t=tuple(t), v=tuple(v), meta=SeriesMeta())
+        original = TimeSeries(t=t, v=v, meta=SeriesMeta())
         recovered = parse_trace_csv(write_series_csv(original))
         if any(x.hex() != y.hex() for x, y in zip(recovered.t, original.t)) \
                 or any(x.hex() != y.hex()

@@ -95,14 +95,14 @@ class TestResampleLinear:
         tr = mk_ts([0.0, 1.0], [0.0, 2.0])
         g = CommonGrid(0.0, 1.0, 3)
         out = resample_linear(tr, g)
-        assert out.values == (0.0, 1.0, 2.0)
+        assert out.values.tolist() == [0.0, 1.0, 2.0]
 
     def test_interior_query(self):
         tr = mk_ts([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         g = CommonGrid(0.0, 2.0, 5)
         out = resample_linear(tr, g)
         # Query at 1.5 sits halfway down the descending segment.
-        assert out.values == (0.0, 1.0, 2.0, 1.0, 0.0)
+        assert out.values.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
 
     def test_knots_reproduced_bit_exactly(self):
         # Grid points that coincide with original timestamps must return the
@@ -119,7 +119,7 @@ class TestResampleLinear:
         tr = mk_ts([0.0, 0.25, 0.5, 0.75, 1.0], [5.0, -1.0, 2.0, 7.0, 0.5])
         g = CommonGrid(0.0, 1.0, 5)
         out = resample_linear(tr, g)
-        assert out.values == tr.v
+        assert np.array_equal(out.values, tr.v)
 
     def test_values_confined_to_bracket_envelope(self, rng):
         for _ in range(300):
@@ -147,6 +147,14 @@ class TestResampleLinear:
             resample_linear(tr, CommonGrid(-0.5, 1.0, 4))
         with pytest.raises(ExtrapolationError):
             resample_linear(tr, CommonGrid(0.0, 1.5, 4))
+
+    def test_extrapolation_message_uses_plain_floats(self):
+        tr = mk_ts([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ExtrapolationError) as exc:
+            resample_linear(tr, CommonGrid(0.0, 2.0, 3))
+        assert str(exc.value) == (
+            "grid [0.0, 2.0] is not contained in the trace domain [0.0, 1.0]"
+        )
 
     def test_ulp_overhang_at_domain_edge_is_tolerated(self):
         # The multiplicative grid formula can land the last grid time a few

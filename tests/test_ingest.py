@@ -39,20 +39,20 @@ def make_spice_text(rows: int, dt: float = 1e-3) -> str:
 class TestCsvParsing:
     def test_basic_with_header(self):
         s = parse_trace_csv("t,v\n0,0.5\n1,-0.25\n", source_id="demo")
-        assert s.t == (0.0, 1.0)
-        assert s.v == (0.5, -0.25)
+        assert s.t.tolist() == [0.0, 1.0]
+        assert s.v.tolist() == [0.5, -0.25]
         assert s.meta.source_id == "demo"
         assert s.meta.signal == "v"
 
     def test_headerless(self):
         s = parse_trace_csv("0,1\n2,3\n", HEADERLESS)
-        assert s.t == (0.0, 2.0)
-        assert s.v == (1.0, 3.0)
+        assert s.t.tolist() == [0.0, 2.0]
+        assert s.v.tolist() == [1.0, 3.0]
 
     def test_scientific_notation(self):
         s = parse_trace_csv("0,1e-3\n1e-3,2.5E+0\n", HEADERLESS)
-        assert s.t == (0.0, 1e-3)
-        assert s.v == (1e-3, 2.5)
+        assert s.t.tolist() == [0.0, 1e-3]
+        assert s.v.tolist() == [1e-3, 2.5]
 
     def test_repeated_timestamp_cites_line(self):
         with pytest.raises(ParseError, match="strictly increasing") as info:
@@ -97,22 +97,22 @@ class TestCsvParsing:
         # Interior and trailing blanks don't break parsing, and the line
         # numbers in diagnostics still count physical lines.
         s = parse_trace_csv("t,v\n0,1\n\n1,2\n\n\n")
-        assert s.t == (0.0, 1.0)
+        assert s.t.tolist() == [0.0, 1.0]
         with pytest.raises(ParseError) as info:
             parse_trace_csv("t,v\n0,1\n\n0,2\n")
         assert info.value.line == 4
 
     def test_crlf_accepted(self):
         s = parse_trace_csv(b"t,v\r\n0,1\r\n1,2\r\n")
-        assert s.t == (0.0, 1.0)
-        assert s.v == (1.0, 2.0)
+        assert s.t.tolist() == [0.0, 1.0]
+        assert s.v.tolist() == [1.0, 2.0]
 
     def test_custom_columns_and_delimiter(self):
         opts = CsvOptions(time_column=2, value_column=0, delimiter=";",
                           header=False)
         s = parse_trace_csv("9;x;0\n7;x;1\n", opts)
-        assert s.t == (0.0, 1.0)
-        assert s.v == (9.0, 7.0)
+        assert s.t.tolist() == [0.0, 1.0]
+        assert s.v.tolist() == [9.0, 7.0]
 
     def test_bad_utf8_cites_line(self):
         with pytest.raises(ParseError, match="UTF-8") as info:
@@ -123,8 +123,8 @@ class TestCsvParsing:
         # Comma is the field delimiter, period the only decimal separator:
         # "1,5" is two fields, never the number 1.5.
         s = parse_trace_csv("0,0.5\n1.5,2.25\n", HEADERLESS)
-        assert s.t == (0.0, 1.5)
-        assert s.v == (0.5, 2.25)
+        assert s.t.tolist() == [0.0, 1.5]
+        assert s.v.tolist() == [0.5, 2.25]
 
     def test_options_validation(self):
         with pytest.raises(ValidationError):
@@ -138,18 +138,18 @@ class TestCsvParsing:
 class TestSpiceParsing:
     def test_basic(self):
         s = parse_spice_export("time\tV(xdd)\n0.0\t1.0e-2\n1.0e-3\t2.0e-2\n")
-        assert s.t == (0.0, 1e-3)
-        assert s.v == (0.01, 0.02)
+        assert s.t.tolist() == [0.0, 1e-3]
+        assert s.v.tolist() == [0.01, 0.02]
         assert s.meta.signal == "V(xdd)"
 
     def test_case_insensitive_time_header(self):
         s = parse_spice_export("Time\tV(x)\n0\t1\n1\t2\n")
-        assert s.t == (0.0, 1.0)
+        assert s.t.tolist() == [0.0, 1.0]
 
     def test_value_column_before_time_column(self):
         s = parse_spice_export("V(x)\ttime\n5\t0\n6\t1\n")
-        assert s.t == (0.0, 1.0)
-        assert s.v == (5.0, 6.0)
+        assert s.t.tolist() == [0.0, 1.0]
+        assert s.v.tolist() == [5.0, 6.0]
         assert s.meta.signal == "V(x)"
 
     def test_large_export(self):
@@ -246,7 +246,7 @@ class TestSniffAndLoad:
         s = load_trace(p)
         assert isinstance(s, TimeSeries)
         assert s.meta.source_id == "run"
-        assert s.v == (1.0, 2.0)
+        assert s.v.tolist() == [1.0, 2.0]
 
     def test_load_spice_auto(self, tmp_path):
         p = tmp_path / "export.raw.txt"
@@ -259,7 +259,7 @@ class TestSniffAndLoad:
         p = tmp_path / "data.txt"
         p.write_bytes(b"0,1\n1,2\n")
         s = load_trace(p, fmt="csv", options=HEADERLESS)
-        assert s.t == (0.0, 1.0)
+        assert s.t.tolist() == [0.0, 1.0]
 
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from jerklab import (
     UniformSeries,
     ValidationError,
     euler_step,
+    jerk_rhs,
     rk4_step,
     simulate,
 )
@@ -54,6 +56,19 @@ class TestStepKernels:
         # h = 0.1 moves only the xdd component, exactly.
         s = euler_step(SystemState(1.0, 0.0, 0.0), 0.1, JerkParams(a=2.0))
         assert s.as_tuple() == (1.0, 0.0, -0.1)
+
+    def test_euler_step_is_one_step_along_jerk_rhs(self):
+        # The public RHS is the integrators' kernel: one Euler step equals
+        # s + h*jerk_rhs(s, p) bit for bit.
+        rnd = random.Random(11)
+        for p in (JerkParams(), JerkParams(sign=Sign.PLUS), linear_params()):
+            for _ in range(20):
+                s = SystemState(*(rnd.uniform(-5.0, 5.0) for _ in range(3)))
+                h = 10.0 ** rnd.uniform(-4.0, -1.0)
+                d = jerk_rhs(s, p)
+                want = (s.x + h * d.x, s.xd + h * d.xd, s.xdd + h * d.xdd)
+                got = euler_step(s, h, p).as_tuple()
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_rk4_step_against_exact_rational_expansion(self):
         # Frozen oracle: the four-stage update from (1, 0, 0) with a = 2,
@@ -146,7 +161,7 @@ class TestOutputGrid:
             assert series.t0 == 0.3
             assert series.dt == dt
             assert len(series) == 97
-        assert res.x.times() == tuple(0.3 + k * dt for k in range(97))
+        assert res.x.times().tolist() == [0.3 + k * dt for k in range(97)]
 
     def test_last_timestamp_hits_t_end(self):
         # The derived endpoint may differ from t_end only by accumulated
@@ -172,9 +187,9 @@ class TestOutputGrid:
             res = simulate(IntegratorConfig(method=method, t_end=5.0,
                                             step=1e-2, output_points=51,
                                             initial_state=zero))
-            assert res.x.values == (0.0,) * 51
-            assert res.xd.values == (0.0,) * 51
-            assert res.xdd.values == (0.0,) * 51
+            assert res.x.values.tolist() == [0.0] * 51
+            assert res.xd.values.tolist() == [0.0] * 51
+            assert res.xdd.values.tolist() == [0.0] * 51
 
 
 class TestSubstepScheme:
@@ -185,8 +200,8 @@ class TestSubstepScheme:
             IntegratorConfig(t_end=1.0, step=step, output_points=11))
         res_a = mk(0.03)
         res_b = mk(0.025)
-        assert res_a.x.values == res_b.x.values
-        assert res_a.xdd.values == res_b.xdd.values
+        assert np.array_equal(res_a.x.values, res_b.x.values)
+        assert np.array_equal(res_a.xdd.values, res_b.xdd.values)
 
     @pytest.mark.parametrize("method,step", [(Method.RK4, rk4_step),
                                              (Method.EULER, euler_step)],
@@ -286,7 +301,7 @@ class TestRk45:
         mk = lambda: simulate(IntegratorConfig(
             method=Method.RK45, t_end=10.0, output_points=101,
             initial_state=IC_CAPTURED))
-        assert mk().xdd.values == mk().xdd.values
+        assert np.array_equal(mk().xdd.values, mk().xdd.values)
 
 
 class TestDeterminism:
@@ -296,9 +311,9 @@ class TestDeterminism:
             method=method, t_end=20.0, step=1e-3, output_points=201,
             initial_state=IC_CAPTURED))
         first, second = mk(), mk()
-        assert first.x.values == second.x.values
-        assert first.xd.values == second.xd.values
-        assert first.xdd.values == second.xdd.values
+        assert np.array_equal(first.x.values, second.x.values)
+        assert np.array_equal(first.xd.values, second.xd.values)
+        assert np.array_equal(first.xdd.values, second.xdd.values)
 
     def test_mirror_symmetry_is_exact(self):
         # Flipping the nonlinearity sign and negating the initial state must
@@ -312,9 +327,9 @@ class TestDeterminism:
             IntegratorConfig(t_end=20.0, step=1e-3, output_points=201,
                              initial_state=SystemState(0.0, 0.0, -0.1)),
             JerkParams(a=A_DEFAULT, sign=Sign.PLUS))
-        assert plus.x.values == tuple(-v for v in minus.x.values)
-        assert plus.xd.values == tuple(-v for v in minus.xd.values)
-        assert plus.xdd.values == tuple(-v for v in minus.xdd.values)
+        assert np.array_equal(plus.x.values, -minus.x.values)
+        assert np.array_equal(plus.xd.values, -minus.xd.values)
+        assert np.array_equal(plus.xdd.values, -minus.xdd.values)
 
 
 class TestBoundedAndEscapingOrbits:
