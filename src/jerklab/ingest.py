@@ -1,21 +1,21 @@
 """Parsers and writers for trace files.
 
-Two concrete text formats are supported:
-
-* generic delimited text (default: RFC-4180-style comma CSV, optional single
-  header row, LF or CRLF line endings);
-* tab-separated exports from SPICE-style circuit simulators — a header line
-  naming the time column followed by tab-separated numeric rows, scientific
-  notation welcome.
-
-All parsing is locale-independent (the decimal separator is always ".") and
-every failure is reported with a 1-based physical line number.
+Two text formats are read, with LF or CRLF line endings: delimited text
+(comma CSV by default, optional header row) and tab-separated exports from
+SPICE-style circuit simulators, whose header names a ``time`` column. A file
+is decoded and split into lines once. Blank lines are skipped but keep their
+physical numbering; the header is the first non-blank line, and format
+sniffing reads that same line. Cells are read by ``float()`` after stripping
+whitespace ("." is the only decimal separator; ``1_0`` and non-ASCII digits
+are numbers). Values are checked once, by :class:`TimeSeries`; only a file
+that fails is scanned again, to name the first faulty row and its line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from os import PathLike
 from pathlib import Path
 
@@ -41,59 +41,95 @@ class CsvOptions:
             raise ValidationError("delimiter must be non-empty")
 
 
-def _decode(data: bytes | str) -> str:
+def _lines(data: bytes | str) -> list[str]:
     if isinstance(data, str):
-        return data
+        return data.splitlines()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         line = data[: exc.start].count(b"\n") + 1
         raise ParseError(line, f"not valid UTF-8 at byte {exc.start}") from None
 
 
-def _numbered_lines(text: str):
-    # splitlines handles LF and CRLF alike; blank lines (commonly a trailing
-    # newline artifact) are skipped but keep their physical numbering.
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _numbered(lines: list[str], start: int = 0):
+    """(1-based physical line number, stripped text) of each non-blank line."""
+    for number, raw in enumerate(islice(lines, start, None), start + 1):
         line = raw.strip()
         if line:
             yield number, line
 
 
-def _parse_rows(numbered, time_col: int, value_col: int, delimiter: str,
-                meta: SeriesMeta) -> TimeSeries:
-    need = max(time_col, value_col) + 1
+def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
+                delimiter: str, meta: SeriesMeta) -> TimeSeries:
     times: list[float] = []
     values: list[float] = []
-    last_line = 0
-    for number, line in numbered:
-        last_line = number
+    try:
+        for _, line in _numbered(lines, start):
+            fields = line.split(delimiter)
+            times.append(float(fields[time_col].strip()))
+            values.append(float(fields[value_col].strip()))
+        return TimeSeries(t=times, v=values, meta=meta)
+    except (IndexError, ValueError):  # ValidationError is a ValueError
+        pass
+    # A row is faulty or there are fewer than two: rescan with per-row checks
+    # to name the first fault and its physical line.
+    need = max(time_col, value_col) + 1
+    number, rows, prev = 1, 0, 0.0
+    for number, line in _numbered(lines, start):
         fields = line.split(delimiter)
         if len(fields) < need:
-            raise ParseError(
-                number, f"expected at least {need} fields, found {len(fields)}"
-            )
+            raise ParseError(number, f"expected at least {need} fields, found {len(fields)}")
         row = []
         for col in (time_col, value_col):
             text = fields[col].strip()
             try:
-                val = float(text)
+                row.append(float(text))
             except ValueError:
                 raise ParseError(number, f"not a number: {text!r}") from None
-            if not math.isfinite(val):
+            if not math.isfinite(row[-1]):
                 raise ParseError(number, f"non-finite value: {text!r}")
-            row.append(val)
-        t, v = row
-        if times and t <= times[-1]:
+        if rows and row[0] <= prev:
             raise ParseError(
-                number,
-                f"time not strictly increasing: {t!r} after {times[-1]!r}",
+                number, f"time not strictly increasing: {row[0]!r} after {prev!r}"
             )
-        times.append(t)
-        values.append(v)
-    if len(times) < 2:
-        raise InsufficientDataError(max(last_line, 1), len(times))
-    return TimeSeries(t=times, v=values, meta=meta)
+        prev, rows = row[0], rows + 1
+    raise InsufficientDataError(number, rows)
+
+
+def _sniff(header: tuple[int, str] | None) -> str:
+    return "spice" if header and "\t" in header[1] else "csv"
+
+
+def _read(lines: list[str], fmt: str, options: CsvOptions, source_id: str) -> TimeSeries:
+    header = next(_numbered(lines), None)
+    if fmt == "auto":
+        fmt = _sniff(header)
+    if fmt == "spice":
+        if header is None:
+            raise ParseError(1, "missing header line")
+        start, line = header
+        fields = [f.strip() for f in line.split("\t")]
+        time_col = next((i for i, f in enumerate(fields) if f.lower() == "time"), None)
+        if time_col is None:
+            raise ParseError(start, f"no 'time' column in header {fields!r}")
+        if len(fields) < 2:
+            raise ParseError(start, "header has a time column but no value column")
+        value_col = int(time_col == 0)  # the first non-time column
+        delimiter, signal = "\t", fields[value_col]
+    elif fmt == "csv":
+        time_col, value_col = options.time_column, options.value_column
+        delimiter, start, signal = options.delimiter, 0, ""
+        if options.header:
+            if header is None:
+                raise InsufficientDataError(1, 0)
+            start, line = header  # the rows start at the index after the header
+            fields = line.split(delimiter)
+            if value_col < len(fields):
+                signal = fields[value_col].strip()
+    else:
+        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
+    meta = SeriesMeta(source_id=source_id, signal=signal)
+    return _parse_rows(lines, start, time_col, value_col, delimiter, meta)
 
 
 def parse_trace_csv(data: bytes | str, options: CsvOptions = CsvOptions(),
@@ -103,46 +139,17 @@ def parse_trace_csv(data: bytes | str, options: CsvOptions = CsvOptions(),
     With ``options.header`` set, the first non-blank line is skipped
     unconditionally (it is declared to be a header, not sniffed).
     """
-    numbered = _numbered_lines(_decode(data))
-    signal = ""
-    if options.header:
-        try:
-            _, header_line = next(numbered)
-        except StopIteration:
-            raise InsufficientDataError(1, 0) from None
-        fields = header_line.split(options.delimiter)
-        if options.value_column < len(fields):
-            signal = fields[options.value_column].strip()
-    meta = SeriesMeta(source_id=source_id, signal=signal)
-    return _parse_rows(numbered, options.time_column, options.value_column,
-                       options.delimiter, meta)
+    return _read(_lines(data), "csv", options, source_id)
 
 
 def parse_spice_export(data: bytes | str, source_id: str = "") -> TimeSeries:
     """Parse a tab-separated circuit-simulator export.
 
-    The first line must be a header with a column labeled ``time`` (any
-    case); the first non-time column supplies the values and its label is
-    recorded as the series' signal name. Trailing blank lines are tolerated.
+    The first non-blank line must be a header with a column labeled ``time``
+    (any case); the first non-time column supplies the values and its label
+    is recorded as the series' signal name. Blank lines are tolerated.
     """
-    numbered = _numbered_lines(_decode(data))
-    try:
-        header_number, header_line = next(numbered)
-    except StopIteration:
-        raise ParseError(1, "missing header line") from None
-    fields = [f.strip() for f in header_line.split("\t")]
-    time_col = next(
-        (i for i, f in enumerate(fields) if f.lower() == "time"), None
-    )
-    if time_col is None:
-        raise ParseError(header_number, f"no 'time' column in header {fields!r}")
-    value_col = next(
-        (i for i in range(len(fields)) if i != time_col), None
-    )
-    if value_col is None:
-        raise ParseError(header_number, "header has a time column but no value column")
-    meta = SeriesMeta(source_id=source_id, signal=fields[value_col])
-    return _parse_rows(numbered, time_col, value_col, "\t", meta)
+    return _read(_lines(data), "spice", CsvOptions(), source_id)
 
 
 def format_float(value: float) -> str:
@@ -174,10 +181,9 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
 
 
 def sniff_format(data: bytes | str) -> str:
-    """Guess ``"spice"`` (tab-separated) or ``"csv"`` from the first line."""
-    text = _decode(data)
-    first = text.splitlines()[0] if text.splitlines() else ""
-    return "spice" if "\t" in first else "csv"
+    """Guess ``"spice"`` or ``"csv"``: spice when the first non-blank line,
+    the header the parsers read, contains a tab."""
+    return _sniff(next(_numbered(_lines(data)), None))
 
 
 def load_trace(path: str | PathLike, fmt: str = "auto",
@@ -185,18 +191,11 @@ def load_trace(path: str | PathLike, fmt: str = "auto",
                source_id: str | None = None) -> TimeSeries:
     """Read and parse a trace file.
 
-    ``fmt`` is ``"csv"``, ``"spice"``, or ``"auto"`` (sniff by the first
-    line). The file name stem becomes the source id unless one is given.
-    I/O failures propagate as :class:`OSError`.
+    ``fmt`` is ``"csv"``, ``"spice"``, or ``"auto"`` (sniff the first
+    non-blank line, as :func:`sniff_format` does). The file name stem
+    becomes the source id unless one is given. I/O failures propagate as
+    :class:`OSError`.
     """
     p = Path(path)
-    data = p.read_bytes()
-    if source_id is None:
-        source_id = p.stem
-    if fmt == "auto":
-        fmt = sniff_format(data)
-    if fmt == "spice":
-        return parse_spice_export(data, source_id=source_id)
-    if fmt == "csv":
-        return parse_trace_csv(data, options or CsvOptions(), source_id=source_id)
-    raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
+    return _read(_lines(p.read_bytes()), fmt, options or CsvOptions(),
+                 p.stem if source_id is None else source_id)

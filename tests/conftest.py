@@ -3,13 +3,28 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jerklab
+from jerklab.errors import InsufficientDataError, ParseError
+from jerklab.ingest import CsvOptions
 from jerklab.metrics import MeanFrom
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a child process that imports this jerklab."""
+    src = str(Path(jerklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 def mk_uniform(values, t0=0.0, dt=1.0, **meta) -> UniformSeries:
@@ -86,3 +101,90 @@ def assert_bit_equal(a: float, b: float, context: str = ""):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260822)
+
+
+# The package's former trace reader, kept as the reference for the one-pass
+# reader: every row is checked as it is read, so the first fault in file
+# order is the one reported. Takes text only (decoding is not its concern).
+
+def _numbered_lines(text: str):
+    # splitlines handles LF and CRLF alike; blank lines (commonly a trailing
+    # newline artifact) are skipped but keep their physical numbering.
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line:
+            yield number, line
+
+
+def _parse_rows(numbered, time_col: int, value_col: int, delimiter: str,
+                meta: SeriesMeta) -> TimeSeries:
+    need = max(time_col, value_col) + 1
+    times: list[float] = []
+    values: list[float] = []
+    last_line = 0
+    for number, line in numbered:
+        last_line = number
+        fields = line.split(delimiter)
+        if len(fields) < need:
+            raise ParseError(
+                number, f"expected at least {need} fields, found {len(fields)}"
+            )
+        row = []
+        for col in (time_col, value_col):
+            text = fields[col].strip()
+            try:
+                val = float(text)
+            except ValueError:
+                raise ParseError(number, f"not a number: {text!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(number, f"non-finite value: {text!r}")
+            row.append(val)
+        t, v = row
+        if times and t <= times[-1]:
+            raise ParseError(
+                number,
+                f"time not strictly increasing: {t!r} after {times[-1]!r}",
+            )
+        times.append(t)
+        values.append(v)
+    if len(times) < 2:
+        raise InsufficientDataError(max(last_line, 1), len(times))
+    return TimeSeries(t=times, v=values, meta=meta)
+
+
+def reference_trace_csv(text: str, options: CsvOptions = CsvOptions(),
+                        source_id: str = "") -> TimeSeries:
+    numbered = _numbered_lines(text)
+    signal = ""
+    if options.header:
+        try:
+            _, header_line = next(numbered)
+        except StopIteration:
+            raise InsufficientDataError(1, 0) from None
+        fields = header_line.split(options.delimiter)
+        if options.value_column < len(fields):
+            signal = fields[options.value_column].strip()
+    meta = SeriesMeta(source_id=source_id, signal=signal)
+    return _parse_rows(numbered, options.time_column, options.value_column,
+                       options.delimiter, meta)
+
+
+def reference_spice_export(text: str, source_id: str = "") -> TimeSeries:
+    numbered = _numbered_lines(text)
+    try:
+        header_number, header_line = next(numbered)
+    except StopIteration:
+        raise ParseError(1, "missing header line") from None
+    fields = [f.strip() for f in header_line.split("\t")]
+    time_col = next(
+        (i for i, f in enumerate(fields) if f.lower() == "time"), None
+    )
+    if time_col is None:
+        raise ParseError(header_number, f"no 'time' column in header {fields!r}")
+    value_col = next(
+        (i for i in range(len(fields)) if i != time_col), None
+    )
+    if value_col is None:
+        raise ParseError(header_number, "header has a time column but no value column")
+    meta = SeriesMeta(source_id=source_id, signal=fields[value_col])
+    return _parse_rows(numbered, time_col, value_col, "\t", meta)

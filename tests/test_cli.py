@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
-import sys
 
 import pytest
 
 from jerklab import parse_trace_csv
 from jerklab.cli import main
 
-from conftest import mk_ts
+from conftest import mk_ts, run_python
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +143,23 @@ class TestCompare:
         assert int(final[0]) == 101
         for cand, cell in zip(doc["candidates"], final[1:]):
             assert float(cell) == cand["full_nrmse"]
+
+    def test_auto_format_sniffs_first_non_blank_line(self, capsys, trace_dir):
+        # A leading blank line before a tab-separated header: the sniffer
+        # reads the same header line as the parser, so this is an export.
+        tmp_path, files = trace_dir
+        measured = parse_trace_csv((tmp_path / "measured.csv").read_bytes())
+        export = tmp_path / "measured.txt"
+        export.write_text("\ntime\tV(xdd)\n" + "".join(
+            f"{t!r}\t{v!r}\n" for t, v in zip(measured.t.tolist(), measured.v.tolist())))
+        code, stdout, err = run_cli(
+            capsys, "compare", "--measured", str(export),
+            "--candidate", f"close={files['close']}",
+            "--candidate", f"rough={files['rough']}",
+            "--grid-points", "101", "--windows", "5", "--format", "auto",
+            "--report", str(tmp_path / "report.json"))
+        assert (code, err) == (0, "")
+        assert "reference: close" in stdout
 
     def test_reruns_byte_identical(self, capsys, trace_dir):
         tmp_path, files = trace_dir
@@ -483,17 +498,13 @@ class TestConfigFile:
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "run.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "jerklab", "simulate",
-             "--t-end", "5", "--points", "21", "--out", str(out)],
-            capture_output=True, text=True, timeout=120)
+        proc = run_python("-m", "jerklab", "simulate",
+                          "--t-end", "5", "--points", "21", "--out", str(out))
         assert proc.returncode == 0
         assert "wrote 21 samples" in proc.stdout
         assert out.exists()
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "jerklab", "--help"],
-            capture_output=True, text=True, timeout=120)
+        proc = run_python("-m", "jerklab", "--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout

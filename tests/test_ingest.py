@@ -11,6 +11,7 @@ from jerklab import (
     CsvOptions,
     DataError,
     InsufficientDataError,
+    JerkLabError,
     ParseError,
     TimeSeries,
     ValidationError,
@@ -22,7 +23,12 @@ from jerklab import (
     write_series_csv,
 )
 
-from conftest import mk_ts, mk_uniform
+from conftest import (
+    mk_ts,
+    mk_uniform,
+    reference_spice_export,
+    reference_trace_csv,
+)
 
 HEADERLESS = CsvOptions(header=False)
 
@@ -53,12 +59,20 @@ class TestCsvParsing:
         s = parse_trace_csv("0,1e-3\n1e-3,2.5E+0\n", HEADERLESS)
         assert s.t.tolist() == [0.0, 1e-3]
         assert s.v.tolist() == [1e-3, 2.5]
+        # The grammar is float()'s: underscores, non-ASCII digits, padding.
+        s = parse_trace_csv("0, 1_0 \n\u0661\u0662,\t2\n", HEADERLESS)
+        assert s.t.tolist() == [0.0, 12.0]
+        assert s.v.tolist() == [10.0, 2.0]
 
     def test_repeated_timestamp_cites_line(self):
         with pytest.raises(ParseError, match="strictly increasing") as info:
             parse_trace_csv("0,1\n0,2\n", HEADERLESS)
         assert info.value.line == 2
         assert "line 2" in str(info.value)
+        # An earlier fault wins over a later row that does not parse.
+        with pytest.raises(ParseError, match="strictly increasing") as info:
+            parse_trace_csv("0,1\n0,2\n1,oops\n", HEADERLESS)
+        assert info.value.line == 2
 
     def test_decreasing_timestamp_cites_line(self):
         with pytest.raises(ParseError) as info:
@@ -76,6 +90,13 @@ class TestCsvParsing:
         assert info.value.line == 1
         with pytest.raises(ParseError, match="non-finite"):
             parse_trace_csv("0,1\n1,inf\n", HEADERLESS)
+        with pytest.raises(ParseError) as info:
+            parse_trace_csv("0,1\n1,Infinity\n", HEADERLESS)
+        assert str(info.value) == "line 2: non-finite value: 'Infinity'"
+        # The time cell is checked before the value cell of the same row.
+        with pytest.raises(ParseError) as info:
+            parse_trace_csv("0,1\ninf,oops\n", HEADERLESS)
+        assert str(info.value) == "line 2: non-finite value: 'inf'"
 
     def test_too_few_fields_cites_line(self):
         with pytest.raises(ParseError, match="fields") as info:
@@ -86,12 +107,17 @@ class TestCsvParsing:
         with pytest.raises(InsufficientDataError) as info:
             parse_trace_csv("t,v\n0,1\n")
         assert info.value.rows == 1
+        assert info.value.line == 2
 
     def test_empty_input_is_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            parse_trace_csv("", HEADERLESS)
-        with pytest.raises(InsufficientDataError):
-            parse_trace_csv("")
+        # Empty, blank-only and header-only texts all cite line 1.
+        for text, options in [("", HEADERLESS), ("", CsvOptions()),
+                              ("t,v\n", CsvOptions()),
+                              ("\n\nt,v\n\n", CsvOptions()),
+                              ("\n \n", HEADERLESS), ("\n \n", CsvOptions())]:
+            with pytest.raises(InsufficientDataError) as info:
+                parse_trace_csv(text, options)
+            assert (info.value.line, info.value.rows) == (1, 0), text
 
     def test_blank_lines_skipped_but_numbering_physical(self):
         # Interior and trailing blanks don't break parsing, and the line
@@ -239,6 +265,22 @@ class TestSniffAndLoad:
         assert sniff_format("time\tV(x)\n0\t1\n") == "spice"
         assert sniff_format("t,v\n0,1\n") == "csv"
         assert sniff_format("") == "csv"
+        # The sniffer reads the header the parsers read: the first
+        # non-blank line, stripped.
+        assert sniff_format("\ntime\tV(x)\n0\t1\n") == "spice"
+        assert sniff_format(" \t \nt,v\n0\t1\n") == "csv"
+        assert sniff_format("\r\n\t\r\n") == "csv"
+
+    @pytest.mark.parametrize("text,signal", [
+        ("\ntime\tV(x)\n0\t1\n1\t2\n", "V(x)"),
+        (" \t \nt,v\n0,1\n1,2\n", "v"),
+    ], ids=["blank-then-spice", "tab-blank-then-csv"])
+    def test_load_auto_sniffs_the_header_line(self, tmp_path, text, signal):
+        p = tmp_path / "trace.txt"
+        p.write_text(text)
+        s = load_trace(p)
+        assert s.t.tolist() == [0.0, 1.0]
+        assert s.meta.signal == signal
 
     def test_load_csv(self, tmp_path):
         p = tmp_path / "run.csv"
@@ -276,3 +318,93 @@ class TestSniffAndLoad:
         # the hierarchy (CLI exit status 1), not the bad-request branch.
         with pytest.raises(DataError):
             parse_trace_csv("t,v\n0,1\nbad\n")
+
+
+# Cells that are not plain increasing numbers: blanks, non-numbers,
+# non-finite spellings, and texts float() reads in its own way.
+ODD_CELLS = ("", " ", "abc", "1.5.2", "0x10", "nan", "NaN", "inf", "-inf",
+             "Infinity", "1e999", "1_0", "\u0661\u0662", " 7 ", "\x1f8", "+.5",
+             "1e-3")
+BLANKS = ("", " ", "\t", " \t ")
+CUSTOM = CsvOptions(time_column=2, value_column=0, delimiter=";")
+# name: (new reader, reference reader, delimiter, headers as
+# (text, time column, value column, width)); no header for None
+READERS = {
+    "csv": (parse_trace_csv, reference_trace_csv, ",",
+            [("t,v", 0, 1, 2), ("time,xdd,extra", 0, 1, 3), ("t", 0, 1, 2)]),
+    "headerless": (lambda s: parse_trace_csv(s, HEADERLESS),
+                   lambda s: reference_trace_csv(s, HEADERLESS), ",",
+                   [(None, 0, 1, 2)]),
+    "custom": (lambda s: parse_trace_csv(s, CUSTOM),
+               lambda s: reference_trace_csv(s, CUSTOM), ";",
+               [("v;x;t", 2, 0, 3), ("v;t", 2, 0, 3)]),
+    "spice": (parse_spice_export, reference_spice_export, "\t",
+              [("time\tV(x)", 0, 1, 2), ("V(x)\tTime", 1, 0, 2),
+               ("TIME\tV(a)\tV(b)", 0, 1, 3), ("volts\tamps", 0, 1, 2),
+               ("time", 0, 1, 2), ("time\t", 0, 1, 2)]),
+}
+
+
+def _fuzz_text(rng: random.Random, delimiter: str, headers) -> str:
+    """A short trace text in one reader's layout; each kind of fault hits a
+    row with a per-text probability, so some texts are clean and some have
+    several faults."""
+    header, time_col, value_col, width = rng.choice(headers)
+    rate = rng.choice((0.0, 0.03, 0.1, 0.3))
+    lines = [rng.choice(BLANKS) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    if header is not None:
+        lines.append(header)
+    t = rng.uniform(-5.0, 5.0)
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < rate:
+            lines.append(rng.choice(BLANKS))
+        t += -rng.random() if rng.random() < rate else rng.choice((1.0, 0.25, 1e-3))
+        cells = ["0"] * width
+        cells[time_col] = rng.choice(ODD_CELLS) if rng.random() < rate else repr(t)
+        cells[value_col] = rng.choice(ODD_CELLS) if rng.random() < rate \
+            else repr(rng.gauss(0.0, 1.0))
+        if rng.random() < rate:  # a non-finite time beside a non-number
+            cells[time_col], cells[value_col] = rng.choice(("inf", "nan")), "abc"
+        if rng.random() < rate:
+            cells = cells[:rng.randint(0, width - 1)]
+        elif rng.random() < rate:
+            cells.append("9")
+        pad = rng.choice(("", "", " ", "\t"))
+        lines.append(pad + delimiter.join(cells) + pad)
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n\r\n"))
+
+
+def _outcome(read, text: str):
+    try:
+        s = read(text)
+    except JerkLabError as exc:
+        return type(exc), str(exc), exc.line, getattr(exc, "rows", None)
+    return s.t.tobytes(), s.v.tobytes(), s.meta
+
+
+class TestReferenceReader:
+    """The one-pass reader against the former per-row reader (conftest)."""
+
+    def test_matches_reference_on_generated_texts(self):
+        rng = random.Random(20261018)
+        kinds = {}
+        for _ in range(10_000):
+            _, _, delimiter, headers = READERS[rng.choice(list(READERS))]
+            text = _fuzz_text(rng, delimiter, headers)
+            for name, (read, reference, _, _) in READERS.items():
+                want = _outcome(reference, text)
+                assert _outcome(read, text) == want, (name, text)
+                kind = want[1].split(": ")[1].split(" [")[0] \
+                    if isinstance(want[0], type) else "ok"
+                kinds[kind] = kinds.get(kind, 0) + 1
+        # Every outcome the readers can give was exercised many times.
+        assert set(kinds) == {
+            "ok", "expected at least 2 fields, found 1",
+            "expected at least 3 fields, found 1",
+            "expected at least 3 fields, found 2", "not a number",
+            "non-finite value", "time not strictly increasing",
+            "need at least 2 data rows, found 0",
+            "need at least 2 data rows, found 1", "no 'time' column in header",
+            "missing header line", "header has a time column but no value column",
+        }, kinds
+        assert min(kinds.values()) >= 50, kinds
