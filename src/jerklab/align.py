@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationError, NoOverlapError, ValidationError
+from .errors import ExtrapolationError, NoOverlapError, ValidationError, _require_int
 from .series import TimeSeries, UniformSeries
 
 
@@ -32,9 +32,7 @@ class CommonGrid:
             raise ValidationError("grid endpoints must be finite")
         if t1 <= t0:
             raise ValidationError(f"t1 must exceed t0, got [{t0!r}, {t1!r}]")
-        n = int(self.n)
-        if n != self.n or n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
+        n = _require_int(self.n, f"n must be an integer >= 2, got {self.n!r}", 2)
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "n", n)
@@ -56,8 +54,7 @@ def build_common_grid(traces: Sequence[TimeSeries], n: int) -> CommonGrid:
     """
     if not traces:
         raise ValidationError("need at least one trace")
-    if int(n) != n or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    n = _require_int(n, f"n must be an integer >= 2, got {n!r}", 2)
     t0 = max(tr.t_start for tr in traces)
     t1 = min(tr.t_end for tr in traces)
     if t1 <= t0:
@@ -68,7 +65,7 @@ def build_common_grid(traces: Sequence[TimeSeries], n: int) -> CommonGrid:
                 label = f"{label}#{i}"
             domains[label] = tr.domain
         raise NoOverlapError(domains)
-    return CommonGrid(t0=t0, t1=t1, n=int(n))
+    return CommonGrid(t0=t0, t1=t1, n=n)
 
 
 def resample_linear(trace: TimeSeries, grid: CommonGrid) -> UniformSeries:

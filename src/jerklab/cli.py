@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import JerkParams, Sign, SystemState
-from .errors import DataError, JerkLabError, ValidationError
+from .errors import DataError, ValidationError
 from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
@@ -333,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except JerkLabError as exc:  # pragma: no cover - defensive catch-all
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

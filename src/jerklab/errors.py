@@ -20,6 +20,18 @@ class ValidationError(JerkLabError, ValueError):
     """A precondition on arguments or configuration was violated."""
 
 
+def _require_int(value, message: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ``ValidationError(message)`` if it is below
+    ``minimum`` or no integer at all, ``nan``, ``inf`` and ``None`` included."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(message) from None
+    if n != value or (minimum is not None and n < minimum):
+        raise ValidationError(message)
+    return n
+
+
 class DataError(JerkLabError):
     """Input data could not be processed."""
 
@@ -92,9 +104,9 @@ class IntegrationOverflowError(DataError):
     Divergence is reported, never clipped: a blow-up is a property of the
     trajectory and hiding it would defeat the point of comparing runs.
     ``last_valid_time`` is the latest time at which the state was still
-    finite; ``partial`` holds the output emitted up to that time (a tuple of
-    the three channel series) when the failure occurred inside a full
-    simulation, else ``None``.
+    finite. Inside a full simulation, ``partial`` holds the three channel
+    series (x, xd, xdd) with exactly the output-grid samples whose time is at
+    most ``last_valid_time``; after a single step it is ``None``.
     """
 
     def __init__(

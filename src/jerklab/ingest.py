@@ -47,7 +47,8 @@ def _lines(data: bytes | str) -> list[str]:
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
+        # One more than the line breaks str.splitlines sees before the bad byte.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(line, f"not valid UTF-8 at byte {exc.start}") from None
 
 

@@ -14,12 +14,14 @@ substeps, so every emitted sample is an actual solver state (no interpolation)
 and the effective step never exceeds the requested one.
 
 The adaptive method (Dormand–Prince 4(5)) uses the requested step as the
-initial trial step and interpolates linearly between accepted steps onto the
-output grid; higher-order dense output is deliberately out of scope.
+initial trial step and interpolates each step linearly onto the grid times it
+covers as soon as it is accepted (a grid time on a step end takes that state
+exactly); higher-order dense output is deliberately out of scope.
 
-Blow-up is never masked: if the state leaves the finite range the run aborts
-with :class:`~jerklab.errors.IntegrationOverflowError` carrying the last
-finite time and the partial output.
+Each method yields its grid states in order and :func:`simulate` collects
+them. Blow-up is never masked: the run aborts with
+:class:`~jerklab.errors.IntegrationOverflowError` carrying the last finite
+time and, as ``partial``, the grid samples up to that time.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState, _rhs
-from .errors import IntegrationOverflowError, ValidationError
+from .errors import IntegrationOverflowError, ValidationError, _require_int
 from .series import SeriesMeta, UniformSeries
 
 #: Adaptive-step controller constants (classical values).
@@ -110,11 +112,8 @@ class IntegratorConfig:
             raise ValidationError(
                 f"initial_state must be a SystemState, got {self.initial_state!r}"
             )
-        points = int(self.output_points)
-        if points != self.output_points or points < 2:
-            raise ValidationError(
-                f"output_points must be an integer >= 2, got {self.output_points!r}"
-            )
+        points = _require_int(self.output_points, "output_points must be an "
+                              f"integer >= 2, got {self.output_points!r}", 2)
         object.__setattr__(self, "output_points", points)
 
 
@@ -208,9 +207,8 @@ def _channels(config: IntegratorConfig, dt_out: float, states,
     )
 
 
-def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
-    p = config.output_points
-    dt_out = (config.t_end - config.t_start) / (p - 1)
+def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
+    """Euler/RK4 states on the output grid, each one an actual solver state."""
     # Integer substep count per output interval; the 1e-12 slack keeps a
     # dt_out that is an exact multiple of the step from gaining a spare
     # substep through rounding.
@@ -220,8 +218,8 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
     a, sf, quad = params.a, params.sign.factor, params.quadratic
 
     s = config.initial_state.as_tuple()
-    states = [s]
-    for k in range(1, p):
+    yield s
+    for k in range(1, config.output_points):
         base = config.t_start + (k - 1) * dt_out
         for i in range(n_sub):
             s = kernel(s[0], s[1], s[2], h, a, sf, quad)
@@ -229,31 +227,19 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
                 raise IntegrationOverflowError(
                     "integration diverged to non-finite values",
                     last_valid_time=base + i * h,
-                    partial=_channels(config, dt_out, states),
                 )
-        states.append(s)
-    return SimulationResult(*_channels(config, dt_out, states))
+        yield s
 
 
-def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
+def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
+    """Dormand–Prince states on the output grid, interpolated step by step."""
     a, sf, quad = params.a, params.sign.factor, params.quadratic
-    t_end = config.t_end
-    p = config.output_points
-    dt_out = (t_end - config.t_start) / (p - 1)
-
-    knot_t = [config.t_start]
-    knot_y = [config.initial_state.as_tuple()]
-
-    def dense_partial(upto_t):
-        count = 1
-        while count < p and config.t_start + count * dt_out <= upto_t:
-            count += 1
-        return _channels(
-            config, dt_out, _dense(knot_t, knot_y, config.t_start, dt_out, count)
-        )
-
-    t = config.t_start
-    y = knot_y[0]
+    t0, t_end, p = config.t_start, config.t_end, config.output_points
+    t, y = t0, config.initial_state.as_tuple()
+    k = 0
+    while k < p and t0 + k * dt_out <= t:  # grid times that round to t0
+        yield y
+        k += 1
     h = min(config.step, t_end - t)
     while t < t_end:
         remaining = t_end - t
@@ -261,24 +247,12 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         h_eff = remaining if last else h
 
         ks = [_rhs(y[0], y[1], y[2], a, sf, quad)]
-        overflow = not _finite3(ks[0])
-        if not overflow:
-            for row in _DP_A:
-                yi = tuple(
-                    y[c] + h_eff * sum(row[j] * ks[j][c] for j in range(len(row)))
-                    for c in range(3)
-                )
-                if not _finite3(yi):
-                    overflow = True
-                    break
-                ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, quad))
-        if overflow:
-            raise IntegrationOverflowError(
-                "integration diverged to non-finite values",
-                last_valid_time=t,
-                partial=dense_partial(t),
+        for row in _DP_A:
+            yi = tuple(
+                y[c] + h_eff * sum(row[j] * ks[j][c] for j in range(len(row)))
+                for c in range(3)
             )
-
+            ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, quad))
         y5 = tuple(
             y[c] + h_eff * sum(_DP_B5[j] * ks[j][c] for j in range(7))
             for c in range(3)
@@ -287,12 +261,11 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
             y[c] + h_eff * sum(_DP_B4[j] * ks[j][c] for j in range(7))
             for c in range(3)
         )
+        # A non-finite stage input gives a non-finite stage, and every weight
+        # (zero ones too: 0*inf is nan) multiplies every stage in y5 and y4.
         if not _finite3(y5) or not _finite3(y4):
             raise IntegrationOverflowError(
-                "integration diverged to non-finite values",
-                last_valid_time=t,
-                partial=dense_partial(t),
-            )
+                "integration diverged to non-finite values", last_valid_time=t)
         acc = 0.0
         for c in range(3):
             scale = config.abs_tol + config.rel_tol * max(abs(y[c]), abs(y5[c]))
@@ -301,10 +274,19 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         err_norm = math.sqrt(acc / 3.0)
 
         if err_norm <= 1.0:
+            ta, ya = t, y
             t = t_end if last else t + h_eff
             y = y5
-            knot_t.append(t)
-            knot_y.append(y)
+            # The grid times in (ta, t], interpolated linearly; one on t
+            # itself takes y exactly.
+            while k < p and (tq := t0 + k * dt_out) <= t:
+                if tq == t:
+                    yield y
+                else:
+                    w = (tq - ta) / (t - ta)
+                    yield (ya[0] + w * (y[0] - ya[0]), ya[1] + w * (y[1] - ya[1]),
+                           ya[2] + w * (y[2] - ya[2]))
+                k += 1
 
         if err_norm == 0.0:
             factor = RK45_MAX_FACTOR
@@ -315,36 +297,10 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         if h < 1.0e-14 * max(1.0, abs(t)):
             raise IntegrationOverflowError(
                 "adaptive step size collapsed (trajectory is blowing up "
-                "faster than the tolerance can follow)",
-                last_valid_time=t,
-                partial=dense_partial(t),
-            )
-
-    states = _dense(knot_t, knot_y, config.t_start, dt_out, p)
-    return SimulationResult(*_channels(config, dt_out, states))
-
-
-def _dense(knot_t, knot_y, t0, dt_out, count):
-    """Linear interpolation of accepted steps onto the first ``count`` grid points."""
-    states = []
-    j = 0
-    last = len(knot_t) - 1
-    for k in range(count):
-        tq = t0 + k * dt_out
-        while j < last - 1 and knot_t[j + 1] <= tq:
-            j += 1
-        ta, tb = knot_t[j], knot_t[j + 1] if j < last else knot_t[j]
-        if j >= last or tq <= ta:
-            states.append(knot_y[j])
-            continue
-        if tq >= tb:
-            states.append(knot_y[j + 1])
-            continue
-        w = (tq - ta) / (tb - ta)
-        ya, yb = knot_y[j], knot_y[j + 1]
-        states.append((ya[0] + w * (yb[0] - ya[0]), ya[1] + w * (yb[1] - ya[1]),
-                       ya[2] + w * (yb[2] - ya[2])))
-    return states
+                "faster than the tolerance can follow)", last_valid_time=t)
+    # Grid times that round past t_end take the final state.
+    for _ in range(k, p):
+        yield y
 
 
 def simulate(config: IntegratorConfig, params: JerkParams | None = None,
@@ -354,8 +310,14 @@ def simulate(config: IntegratorConfig, params: JerkParams | None = None,
     The output grid spans [t_start, t_end] inclusive of both endpoints.
     Repeated calls with identical inputs produce bit-identical results.
     """
-    if params is None:
-        params = JerkParams()
-    if config.method is Method.RK45:
-        return _simulate_rk45(config, params)
-    return _simulate_fixed(config, params)
+    params = JerkParams() if params is None else params
+    dt_out = (config.t_end - config.t_start) / (config.output_points - 1)
+    run = _rk45_states if config.method is Method.RK45 else _fixed_states
+    states = []
+    try:
+        for s in run(config, params, dt_out):
+            states.append(s)
+    except IntegrationOverflowError as exc:
+        exc.partial = _channels(config, dt_out, states)
+        raise
+    return SimulationResult(*_channels(config, dt_out, states))

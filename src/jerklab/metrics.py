@@ -29,9 +29,11 @@ from typing import Any, Mapping, Sequence
 
 from .align import CommonGrid, build_common_grid, resample_linear
 from .errors import (
+    DataError,
     DegenerateDataError,
     DegenerateSeparationError,
     ValidationError,
+    _require_int,
 )
 from .series import TimeSeries, UniformSeries
 
@@ -77,9 +79,9 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
     ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with compensation and ``ybar_k``
     comes from a compensated running sum of ``y``; both parts are
     non-negative, so nothing cancels. Boundaries are 1-based and strictly
-    increasing; a zero denominator raises, naming the 1-based window when
-    ``windowed``. Callers pass ``values.tolist()``: iterating an ndarray
-    here gives the same bits several times slower.
+    increasing; a zero denominator or a score that overflows raises, naming
+    the 1-based window when ``windowed``. Callers pass ``values.tolist()``:
+    iterating an ndarray here gives the same bits several times slower.
     """
     from_sim = mean_from is MeanFrom.SIMULATED
     scores = []
@@ -130,15 +132,21 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
             den += n * ((mean - ybar) * (mean - ybar))
         else:
             ybar = mean
+        window = len(scores) + 1 if windowed else None
+        where = f" in cumulative window {window}" if windowed else ""
         if den <= 0.0:
-            window = len(scores) + 1 if windowed else None
-            where = f" in cumulative window {window}" if windowed else ""
             raise DegenerateDataError(
                 f"zero NRMSE denominator{where}: the measured samples all "
                 f"equal the normalizing mean {ybar!r}",
                 window=window,
             )
-        scores.append(math.sqrt(e_hi + e_lo) / math.sqrt(den))
+        num = e_hi + e_lo
+        # Identical prefixes score 0, even where their spread overflows.
+        score = math.sqrt(num) / math.sqrt(den) if num else 0.0
+        if not math.isfinite(score):
+            raise DataError(f"NRMSE{where} is not finite: the samples are too "
+                            "large to square in double precision")
+        scores.append(score)
         end = next(ends, None)
         if end is None:
             break
@@ -196,9 +204,8 @@ def cumulative_nrmse(measured: UniformSeries, simulated: UniformSeries,
     """
     _check_same_grid(measured, simulated)
     n = len(measured)
-    k = int(n_windows)
-    if k != n_windows or k < 1:
-        raise ValidationError(f"n_windows must be an integer >= 1, got {n_windows!r}")
+    k = _require_int(n_windows,
+                     f"n_windows must be an integer >= 1, got {n_windows!r}", 1)
     if k > n:
         raise ValidationError(f"n_windows={k} exceeds series length {n}")
     if n < 2:
@@ -278,9 +285,8 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     range must hold at least 3 samples with strictly nonzero separation.
     """
     _check_same_grid(a, b)
-    start, end = int(fit_start), int(fit_end)
-    if start != fit_start or end != fit_end:
-        raise ValidationError("fit indices must be integers")
+    start = _require_int(fit_start, "fit indices must be integers")
+    end = _require_int(fit_end, "fit indices must be integers")
     if start < 0 or end >= len(a):
         raise ValidationError(
             f"fit range [{start}, {end}] outside series [0, {len(a) - 1}]"

@@ -13,8 +13,29 @@ import numpy as np
 import pytest
 
 import jerklab
-from jerklab.errors import InsufficientDataError, ParseError
+from jerklab.core import _rhs
+from jerklab.errors import (
+    InsufficientDataError,
+    IntegrationOverflowError,
+    ParseError,
+)
 from jerklab.ingest import CsvOptions
+from jerklab.integrate import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    RK45_MAX_FACTOR,
+    RK45_MIN_FACTOR,
+    RK45_SAFETY,
+    IntegratorConfig,
+    JerkParams,
+    Method,
+    SimulationResult,
+    _channels,
+    _euler,
+    _finite3,
+    _rk4,
+)
 from jerklab.metrics import MeanFrom
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
 
@@ -188,3 +209,154 @@ def reference_spice_export(text: str, source_id: str = "") -> TimeSeries:
         raise ParseError(header_number, "header has a time column but no value column")
     meta = SeriesMeta(source_id=source_id, signal=fields[value_col])
     return _parse_rows(numbered, time_col, value_col, "\t", meta)
+
+
+# The package's former simulation drivers, kept as the reference for the
+# generator drivers: the fixed-step driver keeps a state list, the adaptive
+# one collects the accepted steps as knots and interpolates them onto the
+# grid after the loop (or, on escape, onto the grid times it had reached).
+
+def reference_simulate(config: IntegratorConfig,
+                       params: JerkParams = JerkParams()) -> SimulationResult:
+    if config.method is Method.RK45:
+        return _simulate_rk45(config, params)
+    return _simulate_fixed(config, params)
+
+
+def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
+    p = config.output_points
+    dt_out = (config.t_end - config.t_start) / (p - 1)
+    # Integer substep count per output interval; the 1e-12 slack keeps a
+    # dt_out that is an exact multiple of the step from gaining a spare
+    # substep through rounding.
+    n_sub = max(1, math.ceil(dt_out / config.step - 1.0e-12))
+    h = dt_out / n_sub
+    kernel = _euler if config.method is Method.EULER else _rk4
+    a, sf, quad = params.a, params.sign.factor, params.quadratic
+
+    s = config.initial_state.as_tuple()
+    states = [s]
+    for k in range(1, p):
+        base = config.t_start + (k - 1) * dt_out
+        for i in range(n_sub):
+            s = kernel(s[0], s[1], s[2], h, a, sf, quad)
+            if not _finite3(s):
+                raise IntegrationOverflowError(
+                    "integration diverged to non-finite values",
+                    last_valid_time=base + i * h,
+                    partial=_channels(config, dt_out, states),
+                )
+        states.append(s)
+    return SimulationResult(*_channels(config, dt_out, states))
+
+
+def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
+    a, sf, quad = params.a, params.sign.factor, params.quadratic
+    t_end = config.t_end
+    p = config.output_points
+    dt_out = (t_end - config.t_start) / (p - 1)
+
+    knot_t = [config.t_start]
+    knot_y = [config.initial_state.as_tuple()]
+
+    def dense_partial(upto_t):
+        count = 1
+        while count < p and config.t_start + count * dt_out <= upto_t:
+            count += 1
+        return _channels(
+            config, dt_out, _dense(knot_t, knot_y, config.t_start, dt_out, count)
+        )
+
+    t = config.t_start
+    y = knot_y[0]
+    h = min(config.step, t_end - t)
+    while t < t_end:
+        remaining = t_end - t
+        last = h >= remaining
+        h_eff = remaining if last else h
+
+        ks = [_rhs(y[0], y[1], y[2], a, sf, quad)]
+        overflow = not _finite3(ks[0])
+        if not overflow:
+            for row in _DP_A:
+                yi = tuple(
+                    y[c] + h_eff * sum(row[j] * ks[j][c] for j in range(len(row)))
+                    for c in range(3)
+                )
+                if not _finite3(yi):
+                    overflow = True
+                    break
+                ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, quad))
+        if overflow:
+            raise IntegrationOverflowError(
+                "integration diverged to non-finite values",
+                last_valid_time=t,
+                partial=dense_partial(t),
+            )
+
+        y5 = tuple(
+            y[c] + h_eff * sum(_DP_B5[j] * ks[j][c] for j in range(7))
+            for c in range(3)
+        )
+        y4 = tuple(
+            y[c] + h_eff * sum(_DP_B4[j] * ks[j][c] for j in range(7))
+            for c in range(3)
+        )
+        if not _finite3(y5) or not _finite3(y4):
+            raise IntegrationOverflowError(
+                "integration diverged to non-finite values",
+                last_valid_time=t,
+                partial=dense_partial(t),
+            )
+        acc = 0.0
+        for c in range(3):
+            scale = config.abs_tol + config.rel_tol * max(abs(y[c]), abs(y5[c]))
+            ratio = (y5[c] - y4[c]) / scale
+            acc += ratio * ratio
+        err_norm = math.sqrt(acc / 3.0)
+
+        if err_norm <= 1.0:
+            t = t_end if last else t + h_eff
+            y = y5
+            knot_t.append(t)
+            knot_y.append(y)
+
+        if err_norm == 0.0:
+            factor = RK45_MAX_FACTOR
+        else:
+            factor = RK45_SAFETY * err_norm ** -0.2
+            factor = min(RK45_MAX_FACTOR, max(RK45_MIN_FACTOR, factor))
+        h = h_eff * factor
+        if h < 1.0e-14 * max(1.0, abs(t)):
+            raise IntegrationOverflowError(
+                "adaptive step size collapsed (trajectory is blowing up "
+                "faster than the tolerance can follow)",
+                last_valid_time=t,
+                partial=dense_partial(t),
+            )
+
+    states = _dense(knot_t, knot_y, config.t_start, dt_out, p)
+    return SimulationResult(*_channels(config, dt_out, states))
+
+
+def _dense(knot_t, knot_y, t0, dt_out, count):
+    """Linear interpolation of accepted steps onto the first ``count`` grid points."""
+    states = []
+    j = 0
+    last = len(knot_t) - 1
+    for k in range(count):
+        tq = t0 + k * dt_out
+        while j < last - 1 and knot_t[j + 1] <= tq:
+            j += 1
+        ta, tb = knot_t[j], knot_t[j + 1] if j < last else knot_t[j]
+        if j >= last or tq <= ta:
+            states.append(knot_y[j])
+            continue
+        if tq >= tb:
+            states.append(knot_y[j + 1])
+            continue
+        w = (tq - ta) / (tb - ta)
+        ya, yb = knot_y[j], knot_y[j + 1]
+        states.append((ya[0] + w * (yb[0] - ya[0]), ya[1] + w * (yb[1] - ya[1]),
+                       ya[2] + w * (yb[2] - ya[2])))
+    return states

@@ -251,6 +251,20 @@ class TestCompare:
         assert code == 1
         assert "overlap" in stderr
 
+    def test_overflowing_scores_are_data_error(self, capsys, tmp_path):
+        from jerklab import write_series_csv
+
+        t = [k * 0.1 for k in range(51)]
+        m = tmp_path / "m.csv"
+        c = tmp_path / "c.csv"
+        m.write_bytes(write_series_csv(mk_ts(t, [1e200 * math.sin(u) for u in t])))
+        c.write_bytes(write_series_csv(mk_ts(t, [1e200 * math.cos(u) for u in t])))
+        code, _, stderr = run_cli(
+            capsys, "compare", "--measured", str(m), "--candidate", f"c={c}",
+            "--grid-points", "51", "--report", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "in cumulative window 1 is not finite" in stderr
+
     def test_parse_failure_cites_line(self, capsys, tmp_path, trace_dir):
         _, files = trace_dir
         bad = tmp_path / "bad.csv"

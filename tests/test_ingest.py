@@ -145,6 +145,21 @@ class TestCsvParsing:
             parse_trace_csv(b"t,v\n0,1\n1,\xff\n")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("eol", ["\r", "\r\n", "\x0b", "\x0c", "\x85",
+                                     "\u2028"])
+    @pytest.mark.parametrize("row", [b"1,\xff", b"\xff,1"])
+    def test_bad_utf8_line_counts_the_breaks_rows_count(self, eol, row):
+        # The line of a decoding error is counted as every other ParseError
+        # counts lines: by the breaks str.splitlines sees.
+        nl = eol.encode("utf-8")
+        head = b"t,v" + nl + b"0,1" + nl
+        with pytest.raises(ParseError, match="UTF-8") as info:
+            parse_trace_csv(head + row + nl)
+        assert info.value.line == 3
+        with pytest.raises(ParseError, match="not a number") as info:
+            parse_trace_csv(head + row.replace(b"\xff", b"oops") + nl)
+        assert info.value.line == 3
+
     def test_locale_independent_decimal_point(self):
         # Comma is the field delimiter, period the only decimal separator:
         # "1,5" is two fields, never the number 1.5.

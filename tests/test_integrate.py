@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from jerklab import (
     rk4_step,
     simulate,
 )
+
+from conftest import reference_simulate
 
 A_DEFAULT = 2.03
 IC_CAPTURED = SystemState(0.0, 0.0, 0.1)
@@ -415,3 +418,122 @@ class TestSensitiveDependence:
         growth = float(np.max(dx)) / self.D0
         assert 1e2 < growth < 1e7
         assert float(np.max(dx)) < 1e-3
+
+
+def _seeded_request(rng: random.Random):
+    """A random simulation request: any method, t_start often != 0, 2 to
+    4,700 points, tolerances from 1e-12 to 1e12, initial kicks up to 1e4, and
+    now and then a span of a few ulps (grid times that round together) or a
+    -0.0 state component. One in ten is an rk45 run whose accepted steps end
+    on grid times, and about one in five an rk45 run with loose tolerances
+    and a large kick, the requests that overflow inside an accepted step."""
+    t0 = rng.choice([0.0, rng.uniform(-50.0, 50.0), 10.0 ** rng.uniform(-3, 6)])
+    params = JerkParams(a=rng.choice([A_DEFAULT, rng.uniform(0.1, 5.0)]),
+                        sign=rng.choice(list(Sign)))
+    if rng.random() < 0.1:
+        # Binary-fraction steps under loose tolerances grow by exactly 5x,
+        # so accepted steps end on grid times (the exact-knot branch).
+        span, points = 2.0 ** rng.randint(-2, 4), 2 ** rng.randint(2, 9) + 1
+        t0 = rng.choice([0.0, 0.5, -3.0]) * span
+        return IntegratorConfig(
+            method=Method.RK45, t_start=t0, t_end=t0 + span, step=span / (points - 1),
+            abs_tol=1e12, rel_tol=1e12, output_points=points,
+            initial_state=SystemState(*(rng.uniform(-1.0, 1.0) for _ in "xyz")),
+        ), params
+    if rng.random() < 0.2:
+        kick = 10.0 ** rng.uniform(2, 4)
+        return IntegratorConfig(
+            method=Method.RK45, t_start=t0, t_end=t0 + 10.0 ** rng.uniform(0, 1.3),
+            step=10.0 ** rng.uniform(-3, -1), abs_tol=10.0 ** rng.uniform(10, 12),
+            rel_tol=10.0 ** rng.uniform(10, 12), output_points=rng.randint(2, 300),
+            initial_state=SystemState(*(rng.uniform(-kick, kick) for _ in "xyz")),
+        ), params
+    if rng.random() < 0.1:
+        span = rng.randint(1, 8) * math.ulp(t0 or 1.0)
+    else:
+        span = 10.0 ** rng.uniform(-2, 1.3)
+    points = rng.choice([2, 3, rng.randint(2, 50), rng.randint(50, 4700)])
+    kick = 10.0 ** rng.uniform(-2, 4)
+    return IntegratorConfig(
+        method=rng.choice(list(Method)), t_start=t0, t_end=t0 + span,
+        step=span / points * 10.0 ** rng.uniform(-1.5, 1.5),
+        abs_tol=10.0 ** rng.uniform(-12, 12), rel_tol=10.0 ** rng.uniform(-12, 12),
+        output_points=points,
+        initial_state=SystemState(*(rng.choice([0.0, -0.0, rng.uniform(-kick, kick)])
+                                    for _ in "xyz")),
+    ), params
+
+
+def _outcome(run, config, params):
+    """Everything a run hands back, in comparable form (floats as bytes)."""
+    def channels(series):
+        return [(s.t0.hex(), s.dt.hex(), s.meta, s.values.tobytes()) for s in series]
+
+    try:
+        res = run(config, params)
+    except IntegrationOverflowError as exc:
+        return ("escape", str(exc), exc.last_valid_time.hex(), channels(exc.partial))
+    return ("ok", channels((res.x, res.xd, res.xdd)))
+
+
+def _route(config, outcome) -> str:
+    """Which way a run ended: "ok" or one of the three escape routes."""
+    if outcome[0] == "ok":
+        return "ok"
+    if config.method is not Method.RK45:
+        return "fixed overflow"
+    return "rk45 collapse" if "collapsed" in outcome[1] else "rk45 divergence"
+
+
+class TestGeneratorDrivers:
+    """The generator drivers against the former list-and-knots drivers."""
+
+    def test_matches_reference_on_seeded_requests(self):
+        rng = random.Random(20261018)
+        routes = Counter()
+        for _ in range(250):
+            config, params = _seeded_request(rng)
+            expected = _outcome(reference_simulate, config, params)
+            assert _outcome(simulate, config, params) == expected, (config, params)
+            routes[_route(config, expected)] += 1
+        for route in ("ok", "fixed overflow", "rk45 collapse", "rk45 divergence"):
+            assert routes[route] >= 5, routes
+
+    def test_grid_times_that_round_to_t_start_take_the_initial_state(self):
+        # A span of four ulps on nine points: t0 + dt rounds to t0 itself, so
+        # samples 0 and 1 are the initial state bit for bit (-0.0 included),
+        # not an interpolation with weight 0. The first step is accepted and
+        # the step size then collapses, so the grid reaches t_end.
+        start = 1.0
+        config = IntegratorConfig(
+            method=Method.RK45, t_start=start, t_end=start + 4 * math.ulp(start),
+            step=1.0, output_points=9, initial_state=SystemState(-0.0, 1.0, -0.0))
+        assert start + (config.t_end - start) / 8 == start
+        with pytest.raises(IntegrationOverflowError, match="collapsed") as info:
+            simulate(config)
+        x = info.value.partial[0].values
+        assert len(x) == 9
+        assert [math.copysign(1.0, v) for v in x[:2]] == [-1.0, -1.0]
+        assert x[2] > 0.0
+        assert _outcome(simulate, config, JerkParams()) == _outcome(
+            reference_simulate, config, JerkParams())
+
+    def test_partial_is_the_grid_up_to_last_valid_time(self):
+        rng = random.Random(7)
+        escapes = Counter()
+        while escapes.total() < 120:
+            config, params = _seeded_request(rng)
+            try:
+                simulate(config, params)
+            except IntegrationOverflowError as exc:
+                err = exc
+            else:
+                continue
+            t0, p = config.t_start, config.output_points
+            dt = (config.t_end - t0) / (p - 1)
+            count = sum(1 for k in range(p) if t0 + k * dt <= err.last_valid_time)
+            for series in err.partial:
+                assert (series.t0, series.dt, len(series)) == (t0, dt, count), config
+                assert np.isfinite(series.values).all()
+            escapes[_route(config, ("escape", str(err)))] += 1
+        assert len(escapes) == 3, escapes

@@ -12,13 +12,17 @@ import pytest
 
 from jerklab import (
     CandidateScore,
+    CommonGrid,
     ComparisonReport,
+    DataError,
     DegenerateDataError,
     DegenerateSeparationError,
     HorizonResult,
+    IntegratorConfig,
     MeanFrom,
     ValidationError,
     WindowedNrmse,
+    build_common_grid,
     build_comparison,
     cumulative_nrmse,
     divergence_rate,
@@ -295,6 +299,71 @@ class TestSinglePassScorer:
         with pytest.raises(DegenerateDataError, match="window 2") as info:
             cumulative_nrmse(m, s, 2)
         assert info.value.window == 2
+
+
+class TestOverflowingScores:
+    """Finite samples whose squares overflow double precision."""
+
+    HUGE = 1e200
+
+    def test_nrmse_is_a_data_error(self):
+        m = mk_uniform([self.HUGE * math.sin(k) for k in range(40)])
+        s = mk_uniform([self.HUGE * math.cos(k) for k in range(40)])
+        for mean_from in MeanFrom:
+            with pytest.raises(DataError, match="NRMSE is not finite") as info:
+                nrmse(m, s, mean_from)
+            assert not isinstance(info.value, ValidationError)
+
+    def test_cumulative_names_the_first_overflowing_window(self):
+        # Windows end at samples 10, 20, 30 and 40; the huge samples start
+        # at sample 21, so windows 1 and 2 score and window 3 overflows.
+        scale = [1.0] * 20 + [self.HUGE] * 20
+        m = mk_uniform([c * math.sin(k) for k, c in enumerate(scale)])
+        s = mk_uniform([c * math.cos(k) for k, c in enumerate(scale)])
+        with pytest.raises(DataError, match="in cumulative window 3 is not finite"):
+            cumulative_nrmse(m, s, 4)
+        with pytest.raises(DataError, match="window 3"):
+            prediction_horizon(m, s, threshold=1.0, n_windows=4)
+
+    def test_identical_series_still_score_zero(self):
+        m = mk_uniform([self.HUGE * math.sin(k) for k in range(40)])
+        for mean_from in MeanFrom:
+            assert_bit_equal(nrmse(m, m, mean_from), 0.0, mean_from.value)
+            windowed = cumulative_nrmse(m, m, 4, mean_from)
+            assert windowed.scores == (0.0, 0.0, 0.0, 0.0)
+
+
+_PAIR = (mk_uniform([0.0, 1.0, 3.0, 2.0, 5.0, 4.0]),
+         mk_uniform([1.0, 0.0, 2.0, 4.0, 3.0, 6.0]))
+_TRACE = mk_ts([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+_INTEGER_ARGUMENTS = {
+    "output_points": (lambda v: IntegratorConfig(output_points=v),
+                      "output_points must be an integer >= 2, got {!r}"),
+    "CommonGrid.n": (lambda v: CommonGrid(t0=0.0, t1=1.0, n=v),
+                     "n must be an integer >= 2, got {!r}"),
+    "build_common_grid": (lambda v: build_common_grid([_TRACE], v),
+                          "n must be an integer >= 2, got {!r}"),
+    "cumulative_nrmse": (lambda v: cumulative_nrmse(*_PAIR, v),
+                         "n_windows must be an integer >= 1, got {!r}"),
+    "prediction_horizon": (lambda v: prediction_horizon(*_PAIR, 1.0, v),
+                           "n_windows must be an integer >= 1, got {!r}"),
+    "build_comparison": (lambda v: build_comparison(_TRACE, {"c": _TRACE},
+                                                    n_windows=v),
+                         "n_windows must be an integer >= 1, got {!r}"),
+    "fit_start": (lambda v: divergence_rate(*_PAIR, v, 4),
+                  "fit indices must be integers"),
+    "fit_end": (lambda v: divergence_rate(*_PAIR, 0, v),
+                "fit indices must be integers"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, None, 2.5, "3"])
+@pytest.mark.parametrize("where", sorted(_INTEGER_ARGUMENTS))
+def test_non_integer_count_is_a_validation_error(where, value):
+    call, message = _INTEGER_ARGUMENTS[where]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == message.format(value)
 
 
 class TestWindowedNrmseValidation:
