@@ -8,13 +8,13 @@ endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationError, NoOverlapError, ValidationError, _require_int
+from .errors import (ExtrapolationError, NoOverlapError, ValidationError,
+                     _require_float, _require_int)
 from .series import TimeSeries, UniformSeries
 
 
@@ -27,9 +27,8 @@ class CommonGrid:
     n: int
 
     def __post_init__(self):
-        t0, t1 = float(self.t0), float(self.t1)
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValidationError("grid endpoints must be finite")
+        t0 = _require_float(self.t0, "grid endpoints must be finite")
+        t1 = _require_float(self.t1, "grid endpoints must be finite")
         if t1 <= t0:
             raise ValidationError(f"t1 must exceed t0, got [{t0!r}, {t1!r}]")
         n = _require_int(self.n, f"n must be an integer >= 2, got {self.n!r}", 2)

@@ -16,10 +16,9 @@ state and no randomness.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_float
 
 #: Open interval of the bifurcation parameter on which the dynamics are
 #: chaotic.  Both endpoints are truncated decimals of irrational boundaries,
@@ -52,10 +51,7 @@ class Sign(enum.Enum):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    return _require_float(value, f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ Two branches matter for callers:
 
 from __future__ import annotations
 
+import math
+
 
 class JerkLabError(Exception):
     """Base class for every error raised by this package."""
@@ -30,6 +32,18 @@ def _require_int(value, message: str, minimum: int | None = None) -> int:
     if n != value or (minimum is not None and n < minimum):
         raise ValidationError(message)
     return n
+
+
+def _require_float(value, message: str) -> float:
+    """``value`` as a finite float; ``ValidationError(message)`` if it is ``nan``,
+    infinite or no real number at all (``None``, ``"abc"``, ``10**400``)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValidationError(message)
+    return x
 
 
 class DataError(JerkLabError):

@@ -11,11 +11,15 @@ Design rules that make runs exactly repeatable:
 Fixed-step methods honor the requested step as a *ceiling*: each output
 interval of width ``dt_out`` is covered by ``ceil(dt_out / step)`` equal
 substeps, so every emitted sample is an actual solver state (no interpolation)
-and the effective step never exceeds the requested one.
+and the effective step never exceeds the requested one. One kernel call
+advances a whole interval, whose end state is checked once: each new component
+is ``s + (...)``, so a non-finite one never turns finite again. A failed
+interval is replayed one substep at a time to find its last finite substep.
 
-The adaptive method (Dormand–Prince 4(5)) uses the requested step as the
-initial trial step and interpolates each step linearly onto the grid times it
-covers as soon as it is accepted (a grid time on a step end takes that state
+The adaptive method (Dormand–Prince 4(5), first same as last: six right-hand
+side evaluations per attempted step) uses the requested step as the initial
+trial step and interpolates each step linearly onto the grid times it covers
+as soon as it is accepted (a grid time on a step end takes that state
 exactly); higher-order dense output is deliberately out of scope.
 
 Each method yields its grid states in order and :func:`simulate` collects
@@ -33,32 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState, _rhs
-from .errors import IntegrationOverflowError, ValidationError, _require_int
+from .errors import (IntegrationOverflowError, ValidationError, _require_float,
+                     _require_int)
 from .series import SeriesMeta, UniformSeries
 
 #: Adaptive-step controller constants (classical values).
 RK45_SAFETY = 0.9
 RK45_MIN_FACTOR = 0.2
 RK45_MAX_FACTOR = 5.0
-
-# Dormand–Prince 4(5) tableau. B5 is the 5th-order propagating weight row,
-# B4 the embedded 4th-order row used only for the error estimate.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-          11.0 / 84.0, 0.0)
-_DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-          -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
-
 
 class Method(enum.Enum):
     EULER = "euler"
@@ -96,10 +82,9 @@ class IntegratorConfig:
         if not isinstance(self.method, Method):
             raise ValidationError(f"method must be a Method, got {self.method!r}")
         for name in ("t_start", "t_end", "step", "abs_tol", "rel_tol"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise ValidationError(f"{name} must be finite, got {val!r}")
-            object.__setattr__(self, name, val)
+            val = getattr(self, name)
+            object.__setattr__(self, name, _require_float(
+                val, f"{name} must be finite, got {val!r}"))
         if self.t_end <= self.t_start:
             raise ValidationError(
                 f"t_end must exceed t_start, got [{self.t_start!r}, {self.t_end!r}]"
@@ -135,27 +120,28 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. These work on bare floats so the hot loop pays no container
-# overhead; the public *_step operations wrap them with validated types.
-# Stage order is fixed; changing it would change results in the last ulp.
+# Step kernels: n substeps per call on bare floats, so the fixed-step loop pays
+# one call per output interval and no containers; the public *_step take one
+# validated substep. Stage order is fixed; changing it changes last-ulp results.
 
-def _euler(x, xd, xdd, h, a, sf, quad):
-    d = _rhs(x, xd, xdd, a, sf, quad)
-    return x + h * d[0], xd + h * d[1], xdd + h * d[2]
+def _euler(x, xd, xdd, h, a, sf, quad, n):
+    for _ in range(n):
+        p, q, r = _rhs(x, xd, xdd, a, sf, quad)
+        x, xd, xdd = x + h * p, xd + h * q, xdd + h * r
+    return x, xd, xdd
 
 
-def _rk4(x, xd, xdd, h, a, sf, quad):
-    k1 = _rhs(x, xd, xdd, a, sf, quad)
-    k2 = _rhs(x + 0.5 * h * k1[0], xd + 0.5 * h * k1[1], xdd + 0.5 * h * k1[2],
-              a, sf, quad)
-    k3 = _rhs(x + 0.5 * h * k2[0], xd + 0.5 * h * k2[1], xdd + 0.5 * h * k2[2],
-              a, sf, quad)
-    k4 = _rhs(x + h * k3[0], xd + h * k3[1], xdd + h * k3[2], a, sf, quad)
-    return (
-        x + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0,
-        xd + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0,
-        xdd + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0,
-    )
+def _rk4(x, xd, xdd, h, a, sf, quad, n):
+    hh = 0.5 * h  # x + 0.5*h*k parses as x + (0.5*h)*k
+    for _ in range(n):
+        p1, q1, r1 = _rhs(x, xd, xdd, a, sf, quad)
+        p2, q2, r2 = _rhs(x + hh * p1, xd + hh * q1, xdd + hh * r1, a, sf, quad)
+        p3, q3, r3 = _rhs(x + hh * p2, xd + hh * q2, xdd + hh * r2, a, sf, quad)
+        p4, q4, r4 = _rhs(x + h * p3, xd + h * q3, xdd + h * r3, a, sf, quad)
+        x, xd, xdd = (x + h * (p1 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0,
+                      xd + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0,
+                      xdd + h * (r1 + 2.0 * r2 + 2.0 * r3 + r4) / 6.0)
+    return x, xd, xdd
 
 
 def _finite3(s) -> bool:
@@ -168,9 +154,10 @@ def _step(kernel, name: str, state: SystemState, h: float, params: JerkParams,
     if not (math.isfinite(h) and h > 0.0):
         raise ValidationError(f"step must be > 0, got {h!r}")
     out = kernel(state.x, state.xd, state.xdd, h,
-                 params.a, params.sign.factor, params.quadratic)
+                 params.a, params.sign.factor, params.quadratic, 1)
     # A non-finite stage cannot hide: it reaches the state through h*k with
-    # h > 0 finite, so checking the result covers every stage.
+    # h > 0 finite, so checking the result covers every stage (and, as a
+    # non-finite component stays so, every substep of a fused interval).
     if not _finite3(out):
         raise IntegrationOverflowError(
             f"{name} step produced a non-finite state (h={h!r})"
@@ -212,7 +199,11 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     # Integer substep count per output interval; the 1e-12 slack keeps a
     # dt_out that is an exact multiple of the step from gaining a spare
     # substep through rounding.
-    n_sub = max(1, math.ceil(dt_out / config.step - 1.0e-12))
+    ratio = dt_out / config.step
+    if not math.isfinite(ratio):
+        raise ValidationError(f"step {config.step!r} is too small for the "
+                              f"output interval {dt_out!r}")
+    n_sub = max(1, math.ceil(ratio - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
     a, sf, quad = params.a, params.sign.factor, params.quadratic
@@ -220,14 +211,17 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     s = config.initial_state.as_tuple()
     yield s
     for k in range(1, config.output_points):
-        base = config.t_start + (k - 1) * dt_out
-        for i in range(n_sub):
-            s = kernel(s[0], s[1], s[2], h, a, sf, quad)
-            if not _finite3(s):
-                raise IntegrationOverflowError(
-                    "integration diverged to non-finite values",
-                    last_valid_time=base + i * h,
-                )
+        out = kernel(s[0], s[1], s[2], h, a, sf, quad, n_sub)
+        if not _finite3(out):
+            # Replay: n substeps in one call are n single calls, bit for bit.
+            base = config.t_start + (k - 1) * dt_out
+            for i in range(n_sub):
+                s = kernel(s[0], s[1], s[2], h, a, sf, quad, 1)
+                if not _finite3(s):
+                    raise IntegrationOverflowError(
+                        "integration diverged to non-finite values",
+                        last_valid_time=base + i * h)
+        s = out
         yield s
 
 
@@ -241,28 +235,64 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
         yield y
         k += 1
     h = min(config.step, t_end - t)
+    p1, q1, r1 = _rhs(y[0], y[1], y[2], a, sf, quad)
     while t < t_end:
         remaining = t_end - t
         last = h >= remaining
         h_eff = remaining if last else h
 
-        ks = [_rhs(y[0], y[1], y[2], a, sf, quad)]
-        for row in _DP_A:
-            yi = tuple(
-                y[c] + h_eff * sum(row[j] * ks[j][c] for j in range(len(row)))
-                for c in range(3)
-            )
-            ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, quad))
-        y5 = tuple(
-            y[c] + h_eff * sum(_DP_B5[j] * ks[j][c] for j in range(7))
-            for c in range(3)
-        )
-        y4 = tuple(
-            y[c] + h_eff * sum(_DP_B4[j] * ks[j][c] for j in range(7))
-            for c in range(3)
-        )
+        # Dormand–Prince 4(5) stage inputs y + h*(a_i1*k1 + ... + a_ij*kj), summed
+        # left to right with zero weights kept; y5 propagates, y4 only estimates
+        # the error. First same as last: k7 = f(y5) is the next k1, so an attempt
+        # costs six evaluations and a rejected one keeps its k1.
+        x, xd, xdd = y
+        p2, q2, r2 = _rhs(x + h_eff * (0.2 * p1), xd + h_eff * (0.2 * q1),
+                          xdd + h_eff * (0.2 * r1), a, sf, quad)
+        p3, q3, r3 = _rhs(x + h_eff * (3.0 / 40.0 * p1 + 9.0 / 40.0 * p2),
+                          xd + h_eff * (3.0 / 40.0 * q1 + 9.0 / 40.0 * q2),
+                          xdd + h_eff * (3.0 / 40.0 * r1 + 9.0 / 40.0 * r2), a, sf, quad)
+        p4, q4, r4 = _rhs(
+            x + h_eff * (44.0 / 45.0 * p1 - 56.0 / 15.0 * p2 + 32.0 / 9.0 * p3),
+            xd + h_eff * (44.0 / 45.0 * q1 - 56.0 / 15.0 * q2 + 32.0 / 9.0 * q3),
+            xdd + h_eff * (44.0 / 45.0 * r1 - 56.0 / 15.0 * r2 + 32.0 / 9.0 * r3),
+            a, sf, quad)
+        p5, q5, r5 = _rhs(
+            x + h_eff * (19372.0 / 6561.0 * p1 - 25360.0 / 2187.0 * p2
+                         + 64448.0 / 6561.0 * p3 - 212.0 / 729.0 * p4),
+            xd + h_eff * (19372.0 / 6561.0 * q1 - 25360.0 / 2187.0 * q2
+                          + 64448.0 / 6561.0 * q3 - 212.0 / 729.0 * q4),
+            xdd + h_eff * (19372.0 / 6561.0 * r1 - 25360.0 / 2187.0 * r2
+                           + 64448.0 / 6561.0 * r3 - 212.0 / 729.0 * r4),
+            a, sf, quad)
+        p6, q6, r6 = _rhs(
+            x + h_eff * (9017.0 / 3168.0 * p1 - 355.0 / 33.0 * p2 + 46732.0 / 5247.0 * p3
+                         + 49.0 / 176.0 * p4 - 5103.0 / 18656.0 * p5),
+            xd + h_eff * (9017.0 / 3168.0 * q1 - 355.0 / 33.0 * q2 + 46732.0 / 5247.0 * q3
+                          + 49.0 / 176.0 * q4 - 5103.0 / 18656.0 * q5),
+            xdd + h_eff * (9017.0 / 3168.0 * r1 - 355.0 / 33.0 * r2
+                           + 46732.0 / 5247.0 * r3 + 49.0 / 176.0 * r4
+                           - 5103.0 / 18656.0 * r5),
+            a, sf, quad)
+        y5 = (x + h_eff * (35.0 / 384.0 * p1 + 0.0 * p2 + 500.0 / 1113.0 * p3
+                           + 125.0 / 192.0 * p4 - 2187.0 / 6784.0 * p5 + 11.0 / 84.0 * p6),
+              xd + h_eff * (35.0 / 384.0 * q1 + 0.0 * q2 + 500.0 / 1113.0 * q3
+                            + 125.0 / 192.0 * q4 - 2187.0 / 6784.0 * q5 + 11.0 / 84.0 * q6),
+              xdd + h_eff * (35.0 / 384.0 * r1 + 0.0 * r2 + 500.0 / 1113.0 * r3
+                             + 125.0 / 192.0 * r4 - 2187.0 / 6784.0 * r5
+                             + 11.0 / 84.0 * r6))
+        p7, q7, r7 = _rhs(y5[0], y5[1], y5[2], a, sf, quad)
+        y4 = (x + h_eff * (5179.0 / 57600.0 * p1 + 0.0 * p2 + 7571.0 / 16695.0 * p3
+                           + 393.0 / 640.0 * p4 - 92097.0 / 339200.0 * p5
+                           + 187.0 / 2100.0 * p6 + 1.0 / 40.0 * p7),
+              xd + h_eff * (5179.0 / 57600.0 * q1 + 0.0 * q2 + 7571.0 / 16695.0 * q3
+                            + 393.0 / 640.0 * q4 - 92097.0 / 339200.0 * q5
+                            + 187.0 / 2100.0 * q6 + 1.0 / 40.0 * q7),
+              xdd + h_eff * (5179.0 / 57600.0 * r1 + 0.0 * r2 + 7571.0 / 16695.0 * r3
+                             + 393.0 / 640.0 * r4 - 92097.0 / 339200.0 * r5
+                             + 187.0 / 2100.0 * r6 + 1.0 / 40.0 * r7))
         # A non-finite stage input gives a non-finite stage, and every weight
-        # (zero ones too: 0*inf is nan) multiplies every stage in y5 and y4.
+        # (zero ones too: 0*inf is nan) multiplies every stage in y4, and
+        # every stage but k7 = f(y5) in y5.
         if not _finite3(y5) or not _finite3(y4):
             raise IntegrationOverflowError(
                 "integration diverged to non-finite values", last_valid_time=t)
@@ -277,6 +307,7 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
             ta, ya = t, y
             t = t_end if last else t + h_eff
             y = y5
+            p1, q1, r1 = p7, q7, r7
             # The grid times in (ta, t], interpolated linearly; one on t
             # itself takes y exactly.
             while k < p and (tq := t0 + k * dt_out) <= t:

@@ -21,9 +21,6 @@ from jerklab.errors import (
 )
 from jerklab.ingest import CsvOptions
 from jerklab.integrate import (
-    _DP_A,
-    _DP_B4,
-    _DP_B5,
     RK45_MAX_FACTOR,
     RK45_MIN_FACTOR,
     RK45_SAFETY,
@@ -32,9 +29,7 @@ from jerklab.integrate import (
     Method,
     SimulationResult,
     _channels,
-    _euler,
     _finite3,
-    _rk4,
 )
 from jerklab.metrics import MeanFrom
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
@@ -215,6 +210,43 @@ def reference_spice_export(text: str, source_id: str = "") -> TimeSeries:
 # generator drivers: the fixed-step driver keeps a state list, the adaptive
 # one collects the accepted steps as knots and interpolates them onto the
 # grid after the loop (or, on escape, onto the grid times it had reached).
+# They step with the package's former kernels, frozen here as well: one
+# substep per call, and Dormand-Prince stages summed from the tableau rows.
+
+_DP_A = (
+    (0.2,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0),
+)
+_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+          11.0 / 84.0, 0.0)
+_DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+          -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+
+
+def _euler(x, xd, xdd, h, a, sf, quad):
+    d = _rhs(x, xd, xdd, a, sf, quad)
+    return x + h * d[0], xd + h * d[1], xdd + h * d[2]
+
+
+def _rk4(x, xd, xdd, h, a, sf, quad):
+    k1 = _rhs(x, xd, xdd, a, sf, quad)
+    k2 = _rhs(x + 0.5 * h * k1[0], xd + 0.5 * h * k1[1], xdd + 0.5 * h * k1[2],
+              a, sf, quad)
+    k3 = _rhs(x + 0.5 * h * k2[0], xd + 0.5 * h * k2[1], xdd + 0.5 * h * k2[2],
+              a, sf, quad)
+    k4 = _rhs(x + h * k3[0], xd + h * k3[1], xdd + h * k3[2], a, sf, quad)
+    return (
+        x + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0,
+        xd + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0,
+        xdd + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0,
+    )
+
 
 def reference_simulate(config: IntegratorConfig,
                        params: JerkParams = JerkParams()) -> SimulationResult:

@@ -91,6 +91,16 @@ class TestSimulate:
                   "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_step_too_small_to_count_substeps(self, capsys, tmp_path, method):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--method", method, "--h", "1e-320",
+            "--t-end", "1", "--points", "3", "--out", str(out))
+        assert code == 2
+        assert "step 1e-320 is too small for the output interval 0.5" in stderr
+        assert not out.exists()
+
     def test_too_few_points(self, capsys, tmp_path):
         code, _, stderr = run_cli(
             capsys, "simulate", "--points", "1", "--out", str(tmp_path / "x.csv"))

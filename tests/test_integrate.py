@@ -24,7 +24,9 @@ from jerklab import (
     simulate,
 )
 
+import conftest
 from conftest import reference_simulate
+from jerklab import integrate
 
 A_DEFAULT = 2.03
 IC_CAPTURED = SystemState(0.0, 0.0, 0.1)
@@ -130,6 +132,13 @@ class TestConfigValidation:
     def test_rejects_nonpositive_step(self, step):
         with pytest.raises(ValidationError, match="step"):
             IntegratorConfig(step=step)
+
+    @pytest.mark.parametrize("method", [Method.EULER, Method.RK4])
+    def test_rejects_step_too_small_to_count_substeps(self, method):
+        # 0.5 / 1e-320 overflows, so no substep count exists for it.
+        c = IntegratorConfig(method=method, t_end=1.0, step=1e-320, output_points=3)
+        with pytest.raises(ValidationError, match="step 1e-320 is too small"):
+            simulate(c)
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValidationError, match="tolerance"):
@@ -537,3 +546,73 @@ class TestGeneratorDrivers:
                 assert np.isfinite(series.values).all()
             escapes[_route(config, ("escape", str(err)))] += 1
         assert len(escapes) == 3, escapes
+
+
+def _hexes(state):
+    return [v.hex() for v in state]
+
+
+class TestIntervalKernels:
+    """One kernel call per output interval against one call per substep."""
+
+    @pytest.mark.parametrize("name", ["euler", "rk4"])
+    def test_n_substeps_equal_n_single_calls(self, name):
+        kernel, frozen = getattr(integrate, f"_{name}"), getattr(conftest, f"_{name}")
+        rnd = random.Random(5)
+        for _ in range(200):
+            s = tuple(rnd.choice([0.0, -0.0, rnd.uniform(-10.0, 10.0)]) for _ in "xyz")
+            h = 10.0 ** rnd.uniform(-4.0, -0.5)
+            args = (h, rnd.uniform(0.1, 5.0), rnd.choice([-1.0, 1.0]), rnd.random() < 0.9)
+            n = rnd.randint(1, 40)
+            one, ref = s, s
+            for _ in range(n):
+                one = kernel(*one, *args, 1)
+                ref = frozen(*ref, *args)
+            assert _hexes(kernel(*s, *args, n)) == _hexes(one) == _hexes(ref)
+
+    @pytest.mark.parametrize("method", [Method.EULER, Method.RK4])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_escape_at_any_substep_of_an_interval(self, method, where):
+        # With a power-of-two step, every substep count gives the same
+        # substeps, so the first non-finite one (substep g) stays put and the
+        # count decides where in its interval it falls.
+        h, start, p = 2.0 ** -6, SystemState(0.0, 50.0, 0.0), JerkParams()
+        frozen = conftest._euler if method is Method.EULER else conftest._rk4
+        s, g = start.as_tuple(), -1
+        while conftest._finite3(s):
+            s, g = frozen(*s, h, p.a, p.sign.factor, p.quadratic), g + 1
+        wanted = {"first": lambda n: g % n == 0, "last": lambda n: g % n == n - 1,
+                  "middle": lambda n: 0 < g % n < n - 1}[where]
+        n_sub = next(n for n in range(3, g + 2) if wanted(n))
+        points = g // n_sub + 3
+        config = IntegratorConfig(
+            method=method, t_start=1.0, t_end=1.0 + (points - 1) * n_sub * h,
+            step=h, output_points=points, initial_state=start)
+        outcome = _outcome(simulate, config, p)
+        assert outcome == _outcome(reference_simulate, config, p)
+        assert float.fromhex(outcome[2]) == 1.0 + g * h
+        assert len(outcome[3][0][3]) == 8 * (g // n_sub + 1)  # grid samples kept
+
+    def test_rk45_evaluates_six_rhs_per_attempt_and_one_more(self, monkeypatch):
+        # First same as last: the 7th stage of a step is the next step's 1st,
+        # kept across rejected steps too, so only the first k1 is extra.
+        counts, rhs = Counter(), integrate._rhs
+
+        def counting(key):
+            def counted(*args):
+                counts[key] += 1
+                return rhs(*args)
+            return counted
+
+        monkeypatch.setattr(integrate, "_rhs", counting("new"))
+        monkeypatch.setattr(conftest, "_rhs", counting("ref"))
+        for config in (IntegratorConfig(method=Method.RK45),
+                       IntegratorConfig(method=Method.RK45, t_start=-3.0, t_end=7.0,
+                                        step=0.5, abs_tol=1e-6, rel_tol=1e-12,
+                                        output_points=77, initial_state=IC_CAPTURED)):
+            counts.clear()
+            new = _outcome(simulate, config, JerkParams())
+            assert new == _outcome(reference_simulate, config, JerkParams())
+            attempts, rest = divmod(counts["ref"], 7)
+            assert rest == 0 and attempts > 20
+            assert counts["new"] == 1 + 6 * attempts

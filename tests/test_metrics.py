@@ -19,11 +19,14 @@ from jerklab import (
     DegenerateSeparationError,
     HorizonResult,
     IntegratorConfig,
+    JerkParams,
     MeanFrom,
+    SystemState,
     ValidationError,
     WindowedNrmse,
     build_common_grid,
     build_comparison,
+    circuit_time_scale,
     cumulative_nrmse,
     divergence_rate,
     nrmse,
@@ -361,6 +364,32 @@ _INTEGER_ARGUMENTS = {
 @pytest.mark.parametrize("where", sorted(_INTEGER_ARGUMENTS))
 def test_non_integer_count_is_a_validation_error(where, value):
     call, message = _INTEGER_ARGUMENTS[where]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == message.format(value)
+
+
+_FLOAT_ARGUMENTS = {
+    **{f"IntegratorConfig.{name}": (lambda v, name=name: IntegratorConfig(**{name: v}),
+                                    f"{name} must be finite, got {{!r}}")
+       for name in ("t_start", "t_end", "step", "abs_tol", "rel_tol")},
+    "SystemState.x": (lambda v: SystemState(v, 0.0, 0.0), "x must be finite, got {!r}"),
+    "SystemState.xdd": (lambda v: SystemState(0.0, 0.0, v), "xdd must be finite, got {!r}"),
+    "JerkParams.a": (lambda v: JerkParams(a=v), "a must be finite, got {!r}"),
+    "circuit_time_scale": (lambda v: circuit_time_scale(v, 1.0),
+                           "resistance_ohm must be finite, got {!r}"),
+    "CommonGrid.t0": (lambda v: CommonGrid(t0=v, t1=1.0, n=3),
+                      "grid endpoints must be finite"),
+    "CommonGrid.t1": (lambda v: CommonGrid(t0=0.0, t1=v, n=3),
+                      "grid endpoints must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, None, "abc", 10**400],
+                         ids=["nan", "-inf", "None", "abc", "10**400"])
+@pytest.mark.parametrize("where", sorted(_FLOAT_ARGUMENTS))
+def test_non_finite_value_is_a_validation_error(where, value):
+    call, message = _FLOAT_ARGUMENTS[where]
     with pytest.raises(ValidationError) as info:
         call(value)
     assert str(info.value) == message.format(value)
