@@ -51,7 +51,7 @@ class Sign(enum.Enum):
 
 
 def _require_finite(name: str, value: float) -> float:
-    return _require_float(value, f"{name} must be finite, got {value!r}")
+    return _require_float(value, f"{name} must be finite, got {{!r}}")
 
 
 @dataclass(frozen=True)

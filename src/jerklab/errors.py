@@ -35,14 +35,14 @@ def _require_int(value, message: str, minimum: int | None = None) -> int:
 
 
 def _require_float(value, message: str) -> float:
-    """``value`` as a finite float; ``ValidationError(message)`` if it is ``nan``,
-    infinite or no real number at all (``None``, ``"abc"``, ``10**400``)."""
+    """``value`` as a finite float, else ``ValidationError(message.format(v))`` with
+    ``v`` the float or, if none (``None``, ``"abc"``, ``10**400``), ``value``."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
-        x = math.nan
+        raise ValidationError(message.format(value)) from None
     if not math.isfinite(x):
-        raise ValidationError(message)
+        raise ValidationError(message.format(x))
     return x
 
 

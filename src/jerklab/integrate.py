@@ -82,9 +82,8 @@ class IntegratorConfig:
         if not isinstance(self.method, Method):
             raise ValidationError(f"method must be a Method, got {self.method!r}")
         for name in ("t_start", "t_end", "step", "abs_tol", "rel_tol"):
-            val = getattr(self, name)
             object.__setattr__(self, name, _require_float(
-                val, f"{name} must be finite, got {val!r}"))
+                getattr(self, name), f"{name} must be finite, got {{!r}}"))
         if self.t_end <= self.t_start:
             raise ValidationError(
                 f"t_end must exceed t_start, got [{self.t_start!r}, {self.t_end!r}]"

@@ -212,6 +212,10 @@ def reference_spice_export(text: str, source_id: str = "") -> TimeSeries:
 # grid after the loop (or, on escape, onto the grid times it had reached).
 # They step with the package's former kernels, frozen here as well: one
 # substep per call, and Dormand-Prince stages summed from the tableau rows.
+# The former stages summed with the builtin sum(), which is compensated from
+# Python 3.12 on; _sum_from_zero is the plain left-to-right sum from the
+# integer 0 that sum() computes up to 3.11, so the reference gives the same
+# bits on every Python version, as do the package's hand-written stages.
 
 _DP_A = (
     (0.2,),
@@ -227,6 +231,13 @@ _DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
           11.0 / 84.0, 0.0)
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+
+
+def _sum_from_zero(terms):
+    acc = 0
+    for term in terms:
+        acc = acc + term
+    return acc
 
 
 def _euler(x, xd, xdd, h, a, sf, quad):
@@ -312,7 +323,8 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         if not overflow:
             for row in _DP_A:
                 yi = tuple(
-                    y[c] + h_eff * sum(row[j] * ks[j][c] for j in range(len(row)))
+                    y[c] + h_eff * _sum_from_zero(row[j] * ks[j][c]
+                                                  for j in range(len(row)))
                     for c in range(3)
                 )
                 if not _finite3(yi):
@@ -327,11 +339,11 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
             )
 
         y5 = tuple(
-            y[c] + h_eff * sum(_DP_B5[j] * ks[j][c] for j in range(7))
+            y[c] + h_eff * _sum_from_zero(_DP_B5[j] * ks[j][c] for j in range(7))
             for c in range(3)
         )
         y4 = tuple(
-            y[c] + h_eff * sum(_DP_B4[j] * ks[j][c] for j in range(7))
+            y[c] + h_eff * _sum_from_zero(_DP_B4[j] * ks[j][c] for j in range(7))
             for c in range(3)
         )
         if not _finite3(y5) or not _finite3(y4):

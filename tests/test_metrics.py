@@ -385,14 +385,16 @@ _FLOAT_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, -math.inf, None, "abc", 10**400],
-                         ids=["nan", "-inf", "None", "abc", "10**400"])
+@pytest.mark.parametrize("value, shown", [
+    (math.nan, "nan"), (-math.inf, "-inf"), (np.float64(math.nan), "nan"),
+    (None, "None"), ("abc", "'abc'"), (10**400, repr(10**400)),
+], ids=["nan", "-inf", "np.float64(nan)", "None", "abc", "10**400"])
 @pytest.mark.parametrize("where", sorted(_FLOAT_ARGUMENTS))
-def test_non_finite_value_is_a_validation_error(where, value):
+def test_non_finite_value_is_a_validation_error(where, value, shown):
     call, message = _FLOAT_ARGUMENTS[where]
     with pytest.raises(ValidationError) as info:
         call(value)
-    assert str(info.value) == message.format(value)
+    assert str(info.value) == message.replace("{!r}", shown)
 
 
 class TestWindowedNrmseValidation:
