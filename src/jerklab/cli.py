@@ -74,8 +74,12 @@ class RunConfig:
 
 def _config_value(key: str, value):
     """``value``, checked to have the JSON type its flag parses to: a string,
-    an integer or a finite number (``threshold`` may also be null)."""
+    an integer or a finite number (``threshold`` may also be null, and each
+    element of an ``ic`` list must be a finite number)."""
     if key == "ic":
+        if isinstance(value, list):
+            for v in value:
+                _config_value("ic component", v)
         return _parse_ic_list(value)
     if key in ("sign", "method", "mean_from", "format"):
         ok, want = isinstance(value, str), "a string"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ValidationError, _require_float
+from .errors import ValidationError, _require_float, _require_member
 
 #: Open interval of the bifurcation parameter on which the dynamics are
 #: chaotic.  Both endpoints are truncated decimals of irrational boundaries,
@@ -42,16 +42,7 @@ class Sign(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Sign":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValidationError(
-                f"sign must be 'minus' or 'plus', got {text!r}"
-            ) from None
-
-
-def _require_finite(name: str, value: float) -> float:
-    return _require_float(value, f"{name} must be finite, got {{!r}}")
+        return _require_member(cls, text, "sign must be 'minus' or 'plus', got {!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +54,9 @@ class SystemState:
     xdd: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "xd", _require_finite("xd", self.xd))
-        object.__setattr__(self, "xdd", _require_finite("xdd", self.xdd))
+        for name in ("x", "xd", "xdd"):
+            object.__setattr__(self, name, _require_float(
+                getattr(self, name), f"{name} must be finite, got {{!r}}"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.xd, self.xdd)
@@ -94,7 +85,7 @@ class JerkParams:
     quadratic: bool = True
 
     def __post_init__(self):
-        a = _require_finite("a", self.a)
+        a = _require_float(self.a, "a must be finite, got {!r}")
         if a <= 0.0:
             raise ValidationError(f"a must be > 0, got {a!r}")
         object.__setattr__(self, "a", a)
@@ -134,8 +125,8 @@ def circuit_time_scale(resistance_ohm: float, capacitance_farad: float) -> float
     Divide a capture's time axis in seconds by this value to put it in model
     time before comparing it with simulated traces.
     """
-    r = _require_finite("resistance_ohm", resistance_ohm)
-    c = _require_finite("capacitance_farad", capacitance_farad)
+    r = _require_float(resistance_ohm, "resistance_ohm must be finite, got {!r}")
+    c = _require_float(capacitance_farad, "capacitance_farad must be finite, got {!r}")
     if r <= 0.0:
         raise ValidationError(f"resistance_ohm must be > 0, got {r!r}")
     if c <= 0.0:

@@ -34,16 +34,26 @@ def _require_int(value, message: str, minimum: int | None = None) -> int:
     return n
 
 
-def _require_float(value, message: str) -> float:
-    """``value`` as a finite float, else ``ValidationError(message.format(v))`` with
-    ``v`` the float or, if none (``None``, ``"abc"``, ``10**400``), ``value``."""
+def _require_float(value, message: str, positive: bool = False) -> float:
+    """``value`` as a finite float, ``> 0`` if ``positive``; else ``ValidationError``
+    with ``{!r}`` in ``message`` replaced by the repr of the float or, if none
+    (``None``, ``"abc"``, ``10**400``), of ``value``; other braces stay as they are."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(message.format(value)) from None
-    if not math.isfinite(x):
-        raise ValidationError(message.format(x))
+        raise ValidationError(message.replace("{!r}", repr(value))) from None
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise ValidationError(message.replace("{!r}", repr(x)))
     return x
+
+
+def _require_member(cls, text, message: str):
+    """The member of enum ``cls`` named ``text`` (stripped, any case); else
+    ``ValidationError`` with ``{!r}`` in ``message`` replaced by ``repr(text)``."""
+    try:
+        return cls[text.strip().upper()]
+    except (AttributeError, KeyError):
+        raise ValidationError(message.replace("{!r}", repr(text))) from None
 
 
 class DataError(JerkLabError):

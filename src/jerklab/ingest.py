@@ -19,7 +19,7 @@ from itertools import islice
 from os import PathLike
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, ValidationError
+from .errors import InsufficientDataError, ParseError, ValidationError, _require_int
 from .series import SeriesMeta, TimeSeries, UniformSeries
 
 
@@ -33,8 +33,9 @@ class CsvOptions:
     header: bool = True
 
     def __post_init__(self):
-        if self.time_column < 0 or self.value_column < 0:
-            raise ValidationError("column indices must be >= 0")
+        for name in ("time_column", "value_column"):
+            object.__setattr__(self, name, _require_int(
+                getattr(self, name), "column indices must be >= 0", 0))
         if self.time_column == self.value_column:
             raise ValidationError("time and value columns must differ")
         if not self.delimiter:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState, _rhs
 from .errors import (IntegrationOverflowError, ValidationError, _require_float,
-                     _require_int)
+                     _require_int, _require_member)
 from .series import SeriesMeta, UniformSeries
 
 #: Adaptive-step controller constants (classical values).
@@ -53,12 +53,7 @@ class Method(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Method":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValidationError(
-                f"method must be one of euler, rk4, rk45; got {text!r}"
-            ) from None
+        return _require_member(cls, text, "method must be one of euler, rk4, rk45; got {!r}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +144,7 @@ def _finite3(s) -> bool:
 
 def _step(kernel, name: str, state: SystemState, h: float, params: JerkParams,
           ) -> SystemState:
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step must be > 0, got {h!r}")
+    h = _require_float(h, "step must be > 0, got {!r}", positive=True)
     out = kernel(state.x, state.xd, state.xdd, h,
                  params.a, params.sign.factor, params.quadratic, 1)
     # A non-finite stage cannot hide: it reaches the state through h*k with
@@ -197,9 +190,10 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     """Euler/RK4 states on the output grid, each one an actual solver state."""
     # Integer substep count per output interval; the 1e-12 slack keeps a
     # dt_out that is an exact multiple of the step from gaining a spare
-    # substep through rounding.
+    # substep through rounding. Past 2**53 substeps i*h is no longer exact
+    # for every index i (and the run could not finish); inf and nan fail too.
     ratio = dt_out / config.step
-    if not math.isfinite(ratio):
+    if not ratio <= 2.0 ** 53:
         raise ValidationError(f"step {config.step!r} is too small for the "
                               f"output interval {dt_out!r}")
     n_sub = max(1, math.ceil(ratio - 1.0e-12))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .align import CommonGrid, build_common_grid, resample_linear
@@ -33,7 +33,9 @@ from .errors import (
     DegenerateDataError,
     DegenerateSeparationError,
     ValidationError,
+    _require_float,
     _require_int,
+    _require_member,
 )
 from .series import TimeSeries, UniformSeries
 
@@ -46,12 +48,8 @@ class MeanFrom(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "MeanFrom":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValidationError(
-                f"mean_from must be 'simulated' or 'measured', got {text!r}"
-            ) from None
+        return _require_member(
+            cls, text, "mean_from must be 'simulated' or 'measured', got {!r}")
 
 
 def _check_same_grid(measured: UniformSeries, simulated: UniformSeries):
@@ -171,8 +169,10 @@ class WindowedNrmse:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        bounds = tuple(int(b) for b in self.boundaries)
-        scores = tuple(float(s) for s in self.scores)
+        bounds = tuple(_require_int(b, "boundaries are 1-based and must be >= 1", 1)
+                       for b in self.boundaries)
+        scores = tuple(_require_float(s, "scores must be finite and >= 0, got {!r}")
+                       for s in self.scores)
         if len(bounds) != len(scores) or not bounds:
             raise ValidationError("boundaries and scores must be non-empty and equal length")
         for i in range(1, len(bounds)):
@@ -180,10 +180,8 @@ class WindowedNrmse:
                 raise ValidationError(
                     f"boundaries must be strictly increasing, got {bounds!r}"
                 )
-        if bounds[0] < 1:
-            raise ValidationError("boundaries are 1-based and must be >= 1")
         for s in scores:
-            if not (math.isfinite(s) and s >= 0.0):
+            if s < 0.0:
                 raise ValidationError(f"scores must be finite and >= 0, got {s!r}")
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "scores", scores)
@@ -224,10 +222,9 @@ def select_reference(scores: Mapping[Any, float]) -> Any:
     """
     if not scores:
         raise ValidationError("need at least one candidate score")
-    for cid, s in scores.items():
-        if not math.isfinite(s):
-            raise ValidationError(f"score for {cid!r} must be finite, got {s!r}")
-    return min(scores.items(), key=lambda item: (item[1], str(item[0])))[0]
+    checked = {cid: _require_float(s, f"score for {cid!r} must be finite, got {{!r}}")
+               for cid, s in scores.items()}
+    return min(checked.items(), key=lambda item: (item[1], str(item[0])))[0]
 
 
 @dataclass(frozen=True)
@@ -242,13 +239,6 @@ class HorizonResult:
     time: float
     exceeded: bool
     windowed: WindowedNrmse
-
-
-def _check_threshold(threshold: float) -> float:
-    threshold = float(threshold)
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValidationError(f"threshold must be > 0, got {threshold!r}")
-    return threshold
 
 
 def _horizon(windowed: WindowedNrmse, threshold: float,
@@ -270,7 +260,8 @@ def prediction_horizon(measured: UniformSeries, simulated: UniformSeries,
     prefix just before it (0.0 when the very first prefix exceeds). If no
     prefix exceeds, the horizon is the full span, flagged ``exceeded=False``.
     """
-    threshold = _check_threshold(threshold)
+    threshold = _require_float(threshold, "threshold must be > 0, got {!r}",
+                               positive=True)
     windowed = cumulative_nrmse(measured, simulated, n_windows, mean_from)
     return _horizon(windowed, threshold, measured)
 
@@ -319,35 +310,32 @@ class CandidateScore:
     """All scores of one candidate trace against the measured trace."""
 
     id: str
-    full_nrmse: float
     windowed: WindowedNrmse
     horizon: HorizonResult | None = None
+
+    @property
+    def full_nrmse(self) -> float:
+        """The whole-series score: the last prefix of the profile."""
+        return self.windowed.scores[-1]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """A full cross-candidate comparison on one common grid."""
+    """A full cross-candidate comparison on one common grid; the reference
+    and the window count are read off the candidates' profiles."""
 
     grid: CommonGrid
-    n_windows: int
     mean_from: MeanFrom
     candidates: tuple[CandidateScore, ...]
-    reference_id: str
+    reference_id: str = field(init=False)
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValidationError("a report needs at least one candidate")
-        best = min(c.full_nrmse for c in self.candidates)
-        ref = next((c for c in self.candidates if c.id == self.reference_id),
-                   None)
-        if ref is None:
-            raise ValidationError(
-                f"reference_id {self.reference_id!r} is not among the candidates"
-            )
-        if ref.full_nrmse != best:
-            raise ValidationError(
-                "reference_id must attain the minimal full NRMSE"
-            )
+        object.__setattr__(self, "reference_id", select_reference(
+            {c.id: c.full_nrmse for c in self.candidates}))
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.candidates[0].windowed.boundaries)
 
     def candidate(self, cid: str) -> CandidateScore:
         for c in self.candidates:
@@ -374,22 +362,17 @@ def build_comparison(measured: TimeSeries,
     if not candidates:
         raise ValidationError("need at least one candidate trace")
     if threshold is not None:
-        threshold = _check_threshold(threshold)
+        threshold = _require_float(threshold, "threshold must be > 0, got {!r}",
+                                   positive=True)
     grid = build_common_grid([measured, *candidates.values()], grid_points)
     m = resample_linear(measured, grid)
     scored = []
     for cid in sorted(candidates):
         sim = resample_linear(candidates[cid], grid)
         windowed = cumulative_nrmse(m, sim, n_windows, mean_from)
-        full = windowed.scores[-1]
         horizon = None
         if threshold is not None:
             horizon = _horizon(windowed, threshold, m)
-        scored.append(CandidateScore(
-            id=cid, full_nrmse=full, windowed=windowed, horizon=horizon,
-        ))
-    reference = select_reference({c.id: c.full_nrmse for c in scored})
-    return ComparisonReport(
-        grid=grid, n_windows=int(n_windows), mean_from=mean_from,
-        candidates=tuple(scored), reference_id=reference,
-    )
+        scored.append(CandidateScore(id=cid, windowed=windowed, horizon=horizon))
+    return ComparisonReport(grid=grid, mean_from=mean_from,
+                            candidates=tuple(scored))

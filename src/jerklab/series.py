@@ -6,13 +6,12 @@ compare by identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_float
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,9 @@ class UniformSeries:
     meta: SeriesMeta = field(default_factory=SeriesMeta)
 
     def __post_init__(self):
-        t0 = float(self.t0)
-        dt = float(self.dt)
-        if not math.isfinite(t0):
-            raise ValidationError(f"t0 must be finite, got {t0!r}")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
+        t0 = _require_float(self.t0, "t0 must be finite, got {!r}")
+        dt = _require_float(self.dt, "dt must be finite and > 0, got {!r}",
+                            positive=True)
         values = _as_array("values", self.values)
         if not values.size:
             raise ValidationError("values must be non-empty")

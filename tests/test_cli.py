@@ -101,6 +101,16 @@ class TestSimulate:
         assert "step 1e-320 is too small for the output interval 0.5" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_step_too_small_to_finish(self, capsys, tmp_path, method):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--method", method, "--h", "1e-300",
+            "--t-end", "1", "--points", "3", "--out", str(out))
+        assert code == 2
+        assert "step 1e-300 is too small for the output interval 0.5" in stderr
+        assert not out.exists()
+
     def test_too_few_points(self, capsys, tmp_path):
         code, _, stderr = run_cli(
             capsys, "simulate", "--points", "1", "--out", str(tmp_path / "x.csv"))
@@ -475,8 +485,12 @@ class TestConfigFile:
         ("simulate", {"sign": 5}),
         ("simulate", {"t_end": 10 ** 400}),
         ("simulate", {"ic": [10 ** 400, 0, 0]}),
+        ("simulate", {"ic": [True, 0, 0.1]}),
+        ("simulate", {"ic": ["0", "0", "0.1"]}),
+        ("simulate", {"ic": [0, 0, math.inf]}),
     ], ids=["a-string", "points-nan", "grid-points-nan", "step-null",
-            "sign-number", "t-end-huge-int", "ic-huge-int"])
+            "sign-number", "t-end-huge-int", "ic-huge-int", "ic-bool",
+            "ic-strings", "ic-inf"])
     def test_malformed_value_is_usage_error(self, capsys, trace_dir,
                                             command, doc):
         tmp_path, files = trace_dir

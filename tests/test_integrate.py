@@ -140,6 +140,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="step 1e-320 is too small"):
             simulate(c)
 
+    @pytest.mark.parametrize("method", [Method.EULER, Method.RK4])
+    def test_rejects_step_too_small_to_finish(self, method):
+        # 0.5 / 1e-300 is finite, but far above 2**53 substeps per interval.
+        c = IntegratorConfig(method=method, t_end=1.0, step=1e-300, output_points=3)
+        with pytest.raises(ValidationError, match="step 1e-300 is too small "
+                           "for the output interval 0.5"):
+            simulate(c)
+
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValidationError, match="tolerance"):
             IntegratorConfig(abs_tol=0.0)

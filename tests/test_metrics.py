@@ -14,6 +14,7 @@ from jerklab import (
     CandidateScore,
     CommonGrid,
     ComparisonReport,
+    CsvOptions,
     DataError,
     DegenerateDataError,
     DegenerateSeparationError,
@@ -21,7 +22,10 @@ from jerklab import (
     IntegratorConfig,
     JerkParams,
     MeanFrom,
+    Method,
+    Sign,
     SystemState,
+    UniformSeries,
     ValidationError,
     WindowedNrmse,
     build_common_grid,
@@ -29,8 +33,10 @@ from jerklab import (
     circuit_time_scale,
     cumulative_nrmse,
     divergence_rate,
+    euler_step,
     nrmse,
     prediction_horizon,
+    rk4_step,
     select_reference,
 )
 
@@ -397,6 +403,57 @@ def test_non_finite_value_is_a_validation_error(where, value, shown):
     assert str(info.value) == message.replace("{!r}", shown)
 
 
+# Values of the wrong type for floats and enum names, and non-integers for
+# indices: what a bare isfinite, name lookup or "< 0" check lets escape as
+# another exception or lets through.
+_FLOATS = {"None": None, "abc": "abc", "10**400": 10**400}
+_NAMES = {"None": None, "nan": math.nan, "10**400": 10**400}
+_INDICES = {"None": None, "abc": "abc", "nan": math.nan, "1.5": 1.5}
+_STATE = SystemState(1.0, 0.0, 0.0)
+_ARGUMENTS = {
+    "prediction_horizon": (lambda v: prediction_horizon(*_PAIR, v),
+                           "threshold must be > 0, got {!r}", _FLOATS),
+    "build_comparison": (lambda v: build_comparison(_TRACE, {"c": _TRACE},
+                                                    threshold=v),
+                         "threshold must be > 0, got {!r}",
+                         {"abc": "abc", "10**400": 10**400}),  # None: no threshold
+    "UniformSeries.t0": (lambda v: UniformSeries(v, 1.0, [0.0]),
+                         "t0 must be finite, got {!r}", _FLOATS),
+    "UniformSeries.dt": (lambda v: UniformSeries(0.0, v, [0.0]),
+                         "dt must be finite and > 0, got {!r}", _FLOATS),
+    "rk4_step": (lambda v: rk4_step(_STATE, v, JerkParams()),
+                 "step must be > 0, got {!r}", _FLOATS),
+    "euler_step": (lambda v: euler_step(_STATE, v, JerkParams()),
+                   "step must be > 0, got {!r}", _FLOATS),
+    "WindowedNrmse.scores": (lambda v: WindowedNrmse((1, 2), (0.1, v)),
+                             "scores must be finite and >= 0, got {!r}", _FLOATS),
+    "select_reference": (lambda v: select_reference({"{a}": v}),
+                         "score for '{a}' must be finite, got {!r}", _FLOATS),
+    "Method.parse": (Method.parse,
+                     "method must be one of euler, rk4, rk45; got {!r}", _NAMES),
+    "MeanFrom.parse": (MeanFrom.parse,
+                       "mean_from must be 'simulated' or 'measured', got {!r}", _NAMES),
+    "Sign.parse": (Sign.parse, "sign must be 'minus' or 'plus', got {!r}", _NAMES),
+    "WindowedNrmse.boundaries": (lambda v: WindowedNrmse((v, 2), (0.1, 0.2)),
+                                 "boundaries are 1-based and must be >= 1", _INDICES),
+    "CsvOptions.time_column": (lambda v: CsvOptions(time_column=v),
+                               "column indices must be >= 0", _INDICES),
+    "CsvOptions.value_column": (lambda v: CsvOptions(value_column=v),
+                                "column indices must be >= 0", _INDICES),
+}
+
+
+@pytest.mark.parametrize("where, shown", [
+    (where, shown) for where, (_, _, values) in sorted(_ARGUMENTS.items())
+    for shown in values])
+def test_argument_of_the_wrong_kind_is_a_validation_error(where, shown):
+    call, message, values = _ARGUMENTS[where]
+    value = values[shown]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == message.replace("{!r}", repr(value))
+
+
 class TestWindowedNrmseValidation:
     def test_rejects_non_increasing_boundaries(self):
         with pytest.raises(ValidationError):
@@ -689,25 +746,22 @@ class TestBuildComparison:
         with pytest.raises(ValidationError):
             build_comparison(self._measured(), {})
 
-    def test_report_reference_invariant_enforced(self):
-        w = WindowedNrmse(boundaries=(5, 10), scores=(0.1, 0.2))
-        good = CandidateScore(id="a", full_nrmse=0.2, windowed=w)
-        bad = CandidateScore(id="b", full_nrmse=0.9, windowed=w)
-        from jerklab import CommonGrid
-        grid = CommonGrid(0.0, 1.0, 10)
-        with pytest.raises(ValidationError, match="reference"):
-            ComparisonReport(grid=grid, n_windows=2,
-                             mean_from=MeanFrom.SIMULATED,
-                             candidates=(good, bad), reference_id="b")
-
-    def test_report_reference_must_be_a_candidate(self):
-        w = WindowedNrmse(boundaries=(5, 10), scores=(0.1, 0.2))
-        only = CandidateScore(id="a", full_nrmse=0.2, windowed=w)
-        from jerklab import CommonGrid
-        with pytest.raises(ValidationError, match="'ghost'"):
-            ComparisonReport(grid=CommonGrid(0.0, 1.0, 10), n_windows=2,
-                             mean_from=MeanFrom.SIMULATED,
-                             candidates=(only,), reference_id="ghost")
+    def test_report_derives_reference_full_scores_and_window_count(self):
+        profiles = {"c": (0.05, 0.2), "b": (0.1, 0.2), "a": (0.3, 0.9)}
+        candidates = tuple(
+            CandidateScore(id=cid, windowed=WindowedNrmse((5, 8, 10), (s, s, last)))
+            for cid, (s, last) in profiles.items())
+        report = ComparisonReport(grid=CommonGrid(0.0, 1.0, 10),
+                                  mean_from=MeanFrom.SIMULATED,
+                                  candidates=candidates)
+        # b and c tie at the lowest full score; the smaller id wins, and the
+        # first window (where c leads) plays no part.
+        assert report.reference_id == "b"
+        assert [c.full_nrmse for c in candidates] == [0.2, 0.2, 0.9]
+        assert report.n_windows == 3
+        with pytest.raises(ValidationError):
+            ComparisonReport(grid=CommonGrid(0.0, 1.0, 10),
+                             mean_from=MeanFrom.SIMULATED, candidates=())
 
     def test_unknown_candidate_lookup(self):
         report = build_comparison(self._measured(), self._candidates(),
