@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .core import JerkParams, Sign, SystemState
+from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
 from .errors import DataError, ValidationError
 from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
@@ -35,12 +35,12 @@ class RunConfig:
 
     a: float = JerkParams().a
     sign: str = "minus"
-    ic: tuple[float, float, float] = (0.0, 0.0, 0.1)
+    ic: tuple[float, float, float] = DEFAULT_INITIAL_STATE.as_tuple()
     method: str = "rk4"
-    step: float = 1.0e-3
-    t_start: float = 0.0
-    t_end: float = 100.0
-    output_points: int = 4700
+    step: float = IntegratorConfig().step
+    t_start: float = IntegratorConfig().t_start
+    t_end: float = IntegratorConfig().t_end
+    output_points: int = IntegratorConfig().output_points
     grid_points: int = 4700
     n_windows: int = 10
     threshold: float | None = None
@@ -74,12 +74,13 @@ class RunConfig:
 
 def _config_value(key: str, value):
     """``value``, checked to have the JSON type its flag parses to: a string,
-    an integer or a finite number (``threshold`` may also be null, and each
-    element of an ``ic`` list must be a finite number)."""
+    an integer or a finite number (``threshold`` may also be null, and ``ic``
+    must be a list whose every element is a finite number)."""
     if key == "ic":
-        if isinstance(value, list):
-            for v in value:
-                _config_value("ic component", v)
+        if not isinstance(value, list):
+            raise ValidationError(f"ic must be three numbers, got {value!r}")
+        for v in value:
+            _config_value("ic component", v)
         return _parse_ic_list(value)
     if key in ("sign", "method", "mean_from", "format"):
         ok, want = isinstance(value, str), "a string"
@@ -99,12 +100,8 @@ def _config_value(key: str, value):
 
 
 def _parse_ic_list(value) -> tuple[float, float, float]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise ValidationError(f"ic must be three numbers, got {value!r}")
+    """The ``--ic`` text ``X,XD,XDD``, or a config file's ``ic`` list, as floats."""
+    parts = value.split(",") if isinstance(value, str) else value
     if len(parts) != 3:
         raise ValidationError(f"ic must have exactly 3 components, got {len(parts)}")
     try:

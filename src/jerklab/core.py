@@ -72,17 +72,11 @@ DEFAULT_INITIAL_STATE = SystemState(0.0, 0.0, 0.1)
 
 @dataclass(frozen=True)
 class JerkParams:
-    """Model parameters.
-
-    ``quadratic`` exists for test instrumentation only: setting it False
-    removes the (x')**2 term, leaving the linear subsystem
-    x''' = -a*x'' - x, which has a closed-form solution that integrator
-    accuracy tests compare against.
-    """
+    """Model parameters: the damping ``a`` (finite and > 0) and the sign of
+    the quadratic term. They are the only settings of the model."""
 
     a: float = DEFAULT_A
     sign: Sign = Sign.MINUS
-    quadratic: bool = True
 
     def __post_init__(self):
         a = _require_float(self.a, "a must be finite, got {!r}")
@@ -93,12 +87,9 @@ class JerkParams:
             raise ValidationError(f"sign must be a Sign, got {self.sign!r}")
 
 
-def _rhs(x, xd, xdd, a, sf, quad):
+def _rhs(x, xd, xdd, a, sf):
     # The integrators' kernel, on bare floats; its operation order is fixed.
-    jerk = -(a * xdd) - x
-    if quad:
-        jerk += sf * (xd * xd)
-    return xd, xdd, jerk
+    return xd, xdd, -(a * xdd) - x + sf * (xd * xd)
 
 
 def jerk_rhs(state: SystemState, params: JerkParams) -> SystemState:
@@ -109,7 +100,7 @@ def jerk_rhs(state: SystemState, params: JerkParams) -> SystemState:
     with this same kernel.
     """
     return SystemState(*_rhs(state.x, state.xd, state.xdd, params.a,
-                             params.sign.factor, params.quadratic))
+                             params.sign.factor))
 
 
 def in_chaotic_range(params: JerkParams) -> bool:

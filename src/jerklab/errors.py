@@ -48,12 +48,16 @@ def _require_float(value, message: str, positive: bool = False) -> float:
 
 
 def _require_member(cls, text, message: str):
-    """The member of enum ``cls`` named ``text`` (stripped, any case); else
-    ``ValidationError`` with ``{!r}`` in ``message`` replaced by ``repr(text)``."""
-    try:
-        return cls[text.strip().upper()]
-    except (AttributeError, KeyError):
-        raise ValidationError(message.replace("{!r}", repr(text))) from None
+    """The member of enum ``cls`` named ``text`` (stripped, any ASCII case);
+    else ``ValidationError`` with ``{!r}`` in ``message`` replaced by
+    ``repr(text)``. Non-ASCII text is refused, as Unicode case mapping would
+    let e.g. a dotless ``ı`` stand for ``I``."""
+    if isinstance(text, str) and text.isascii():
+        try:
+            return cls[text.strip().upper()]
+        except KeyError:
+            pass
+    raise ValidationError(message.replace("{!r}", repr(text)))
 
 
 class DataError(JerkLabError):

@@ -38,8 +38,11 @@ class CsvOptions:
                 getattr(self, name), "column indices must be >= 0", 0))
         if self.time_column == self.value_column:
             raise ValidationError("time and value columns must differ")
-        if not self.delimiter:
-            raise ValidationError("delimiter must be non-empty")
+        if not isinstance(self.delimiter, str) or not self.delimiter:
+            raise ValidationError(
+                f"delimiter must be a non-empty string, got {self.delimiter!r}")
+        if not isinstance(self.header, bool):
+            raise ValidationError(f"header must be True or False, got {self.header!r}")
 
 
 def _lines(data: bytes | str) -> list[str]:

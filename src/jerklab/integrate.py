@@ -104,34 +104,26 @@ class SimulationResult:
     xd: UniformSeries
     xdd: UniformSeries
 
-    def channel(self, name: str) -> UniformSeries:
-        try:
-            return {"x": self.x, "xd": self.xd, "xdd": self.xdd}[name]
-        except KeyError:
-            raise ValidationError(
-                f"channel must be one of x, xd, xdd; got {name!r}"
-            ) from None
-
 
 # ---------------------------------------------------------------------------
 # Step kernels: n substeps per call on bare floats, so the fixed-step loop pays
 # one call per output interval and no containers; the public *_step take one
 # validated substep. Stage order is fixed; changing it changes last-ulp results.
 
-def _euler(x, xd, xdd, h, a, sf, quad, n):
+def _euler(x, xd, xdd, h, a, sf, n):
     for _ in range(n):
-        p, q, r = _rhs(x, xd, xdd, a, sf, quad)
+        p, q, r = _rhs(x, xd, xdd, a, sf)
         x, xd, xdd = x + h * p, xd + h * q, xdd + h * r
     return x, xd, xdd
 
 
-def _rk4(x, xd, xdd, h, a, sf, quad, n):
+def _rk4(x, xd, xdd, h, a, sf, n):
     hh = 0.5 * h  # x + 0.5*h*k parses as x + (0.5*h)*k
     for _ in range(n):
-        p1, q1, r1 = _rhs(x, xd, xdd, a, sf, quad)
-        p2, q2, r2 = _rhs(x + hh * p1, xd + hh * q1, xdd + hh * r1, a, sf, quad)
-        p3, q3, r3 = _rhs(x + hh * p2, xd + hh * q2, xdd + hh * r2, a, sf, quad)
-        p4, q4, r4 = _rhs(x + h * p3, xd + h * q3, xdd + h * r3, a, sf, quad)
+        p1, q1, r1 = _rhs(x, xd, xdd, a, sf)
+        p2, q2, r2 = _rhs(x + hh * p1, xd + hh * q1, xdd + hh * r1, a, sf)
+        p3, q3, r3 = _rhs(x + hh * p2, xd + hh * q2, xdd + hh * r2, a, sf)
+        p4, q4, r4 = _rhs(x + h * p3, xd + h * q3, xdd + h * r3, a, sf)
         x, xd, xdd = (x + h * (p1 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0,
                       xd + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0,
                       xdd + h * (r1 + 2.0 * r2 + 2.0 * r3 + r4) / 6.0)
@@ -146,7 +138,7 @@ def _step(kernel, name: str, state: SystemState, h: float, params: JerkParams,
           ) -> SystemState:
     h = _require_float(h, "step must be > 0, got {!r}", positive=True)
     out = kernel(state.x, state.xd, state.xdd, h,
-                 params.a, params.sign.factor, params.quadratic, 1)
+                 params.a, params.sign.factor, 1)
     # A non-finite stage cannot hide: it reaches the state through h*k with
     # h > 0 finite, so checking the result covers every stage (and, as a
     # non-finite component stays so, every substep of a fused interval).
@@ -180,7 +172,7 @@ def _channels(config: IntegratorConfig, dt_out: float, states,
     return tuple(
         UniformSeries(
             t0=config.t_start, dt=dt_out, values=vals,
-            meta=SeriesMeta(source_id=source, signal=name, unit="dimensionless"),
+            meta=SeriesMeta(source_id=source, signal=name),
         )
         for vals, name in zip(np.array(states).T, ("x", "xd", "xdd"))
     )
@@ -199,17 +191,17 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     n_sub = max(1, math.ceil(ratio - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
-    a, sf, quad = params.a, params.sign.factor, params.quadratic
+    a, sf = params.a, params.sign.factor
 
     s = config.initial_state.as_tuple()
     yield s
     for k in range(1, config.output_points):
-        out = kernel(s[0], s[1], s[2], h, a, sf, quad, n_sub)
+        out = kernel(s[0], s[1], s[2], h, a, sf, n_sub)
         if not _finite3(out):
             # Replay: n substeps in one call are n single calls, bit for bit.
             base = config.t_start + (k - 1) * dt_out
             for i in range(n_sub):
-                s = kernel(s[0], s[1], s[2], h, a, sf, quad, 1)
+                s = kernel(s[0], s[1], s[2], h, a, sf, 1)
                 if not _finite3(s):
                     raise IntegrationOverflowError(
                         "integration diverged to non-finite values",
@@ -220,7 +212,7 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
 
 def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     """Dormand–Prince states on the output grid, interpolated step by step."""
-    a, sf, quad = params.a, params.sign.factor, params.quadratic
+    a, sf = params.a, params.sign.factor
     t0, t_end, p = config.t_start, config.t_end, config.output_points
     t, y = t0, config.initial_state.as_tuple()
     k = 0
@@ -228,7 +220,7 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
         yield y
         k += 1
     h = min(config.step, t_end - t)
-    p1, q1, r1 = _rhs(y[0], y[1], y[2], a, sf, quad)
+    p1, q1, r1 = _rhs(y[0], y[1], y[2], a, sf)
     while t < t_end:
         remaining = t_end - t
         last = h >= remaining
@@ -240,15 +232,15 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
         # costs six evaluations and a rejected one keeps its k1.
         x, xd, xdd = y
         p2, q2, r2 = _rhs(x + h_eff * (0.2 * p1), xd + h_eff * (0.2 * q1),
-                          xdd + h_eff * (0.2 * r1), a, sf, quad)
+                          xdd + h_eff * (0.2 * r1), a, sf)
         p3, q3, r3 = _rhs(x + h_eff * (3.0 / 40.0 * p1 + 9.0 / 40.0 * p2),
                           xd + h_eff * (3.0 / 40.0 * q1 + 9.0 / 40.0 * q2),
-                          xdd + h_eff * (3.0 / 40.0 * r1 + 9.0 / 40.0 * r2), a, sf, quad)
+                          xdd + h_eff * (3.0 / 40.0 * r1 + 9.0 / 40.0 * r2), a, sf)
         p4, q4, r4 = _rhs(
             x + h_eff * (44.0 / 45.0 * p1 - 56.0 / 15.0 * p2 + 32.0 / 9.0 * p3),
             xd + h_eff * (44.0 / 45.0 * q1 - 56.0 / 15.0 * q2 + 32.0 / 9.0 * q3),
             xdd + h_eff * (44.0 / 45.0 * r1 - 56.0 / 15.0 * r2 + 32.0 / 9.0 * r3),
-            a, sf, quad)
+            a, sf)
         p5, q5, r5 = _rhs(
             x + h_eff * (19372.0 / 6561.0 * p1 - 25360.0 / 2187.0 * p2
                          + 64448.0 / 6561.0 * p3 - 212.0 / 729.0 * p4),
@@ -256,7 +248,7 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
                           + 64448.0 / 6561.0 * q3 - 212.0 / 729.0 * q4),
             xdd + h_eff * (19372.0 / 6561.0 * r1 - 25360.0 / 2187.0 * r2
                            + 64448.0 / 6561.0 * r3 - 212.0 / 729.0 * r4),
-            a, sf, quad)
+            a, sf)
         p6, q6, r6 = _rhs(
             x + h_eff * (9017.0 / 3168.0 * p1 - 355.0 / 33.0 * p2 + 46732.0 / 5247.0 * p3
                          + 49.0 / 176.0 * p4 - 5103.0 / 18656.0 * p5),
@@ -265,7 +257,7 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
             xdd + h_eff * (9017.0 / 3168.0 * r1 - 355.0 / 33.0 * r2
                            + 46732.0 / 5247.0 * r3 + 49.0 / 176.0 * r4
                            - 5103.0 / 18656.0 * r5),
-            a, sf, quad)
+            a, sf)
         y5 = (x + h_eff * (35.0 / 384.0 * p1 + 0.0 * p2 + 500.0 / 1113.0 * p3
                            + 125.0 / 192.0 * p4 - 2187.0 / 6784.0 * p5 + 11.0 / 84.0 * p6),
               xd + h_eff * (35.0 / 384.0 * q1 + 0.0 * q2 + 500.0 / 1113.0 * q3
@@ -273,7 +265,7 @@ def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
               xdd + h_eff * (35.0 / 384.0 * r1 + 0.0 * r2 + 500.0 / 1113.0 * r3
                              + 125.0 / 192.0 * r4 - 2187.0 / 6784.0 * r5
                              + 11.0 / 84.0 * r6))
-        p7, q7, r7 = _rhs(y5[0], y5[1], y5[2], a, sf, quad)
+        p7, q7, r7 = _rhs(y5[0], y5[1], y5[2], a, sf)
         y4 = (x + h_eff * (5179.0 / 57600.0 * p1 + 0.0 * p2 + 7571.0 / 16695.0 * p3
                            + 393.0 / 640.0 * p4 - 92097.0 / 339200.0 * p5
                            + 187.0 / 2100.0 * p6 + 1.0 / 40.0 * p7),

@@ -20,7 +20,6 @@ class SeriesMeta:
 
     source_id: str = ""
     signal: str = ""
-    unit: str = ""
 
 
 def _as_array(name: str, values: Iterable[float]) -> np.ndarray:

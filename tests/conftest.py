@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import jerklab
-from jerklab.core import _rhs
+import jerklab.core
+import jerklab.integrate
 from jerklab.errors import (
     InsufficientDataError,
     IntegrationOverflowError,
@@ -119,6 +120,29 @@ def rng() -> random.Random:
     return random.Random(20260822)
 
 
+class LinearRhs:
+    """The jerk kernel without its quadratic term: the linear subsystem
+    x''' = -a*x'' - x, whose closed-form solution the accuracy tests compare
+    the integrators against. Counts its calls, so a test can show it ran."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x, xd, xdd, a, sf):
+        self.calls += 1
+        return xd, xdd, -(a * xdd) - x
+
+
+@pytest.fixture
+def linear_rhs(monkeypatch) -> LinearRhs:
+    """Swaps the package's jerk kernel for a :class:`LinearRhs`, in the
+    integrators and in ``jerk_rhs``."""
+    rhs = LinearRhs()
+    monkeypatch.setattr(jerklab.integrate, "_rhs", rhs)
+    monkeypatch.setattr(jerklab.core, "_rhs", rhs)
+    return rhs
+
+
 # The package's former trace reader, kept as the reference for the one-pass
 # reader: every row is checked as it is read, so the first fault in file
 # order is the one reported. Takes text only (decoding is not its concern).
@@ -211,7 +235,10 @@ def reference_spice_export(text: str, source_id: str = "") -> TimeSeries:
 # one collects the accepted steps as knots and interpolates them onto the
 # grid after the loop (or, on escape, onto the grid times it had reached).
 # They step with the package's former kernels, frozen here as well: one
-# substep per call, and Dormand-Prince stages summed from the tableau rows.
+# substep per call, Dormand-Prince stages summed from the tableau rows, and
+# the former two-statement right-hand side with its switch for the quadratic
+# term, always on here, so the package's one-expression kernel is checked
+# against it bit for bit.
 # The former stages summed with the builtin sum(), which is compensated from
 # Python 3.12 on; _sum_from_zero is the plain left-to-right sum from the
 # integer 0 that sum() computes up to 3.11, so the reference gives the same
@@ -240,18 +267,25 @@ def _sum_from_zero(terms):
     return acc
 
 
-def _euler(x, xd, xdd, h, a, sf, quad):
-    d = _rhs(x, xd, xdd, a, sf, quad)
+def _rhs(x, xd, xdd, a, sf, quad):
+    jerk = -(a * xdd) - x
+    if quad:
+        jerk += sf * (xd * xd)
+    return xd, xdd, jerk
+
+
+def _euler(x, xd, xdd, h, a, sf):
+    d = _rhs(x, xd, xdd, a, sf, True)
     return x + h * d[0], xd + h * d[1], xdd + h * d[2]
 
 
-def _rk4(x, xd, xdd, h, a, sf, quad):
-    k1 = _rhs(x, xd, xdd, a, sf, quad)
+def _rk4(x, xd, xdd, h, a, sf):
+    k1 = _rhs(x, xd, xdd, a, sf, True)
     k2 = _rhs(x + 0.5 * h * k1[0], xd + 0.5 * h * k1[1], xdd + 0.5 * h * k1[2],
-              a, sf, quad)
+              a, sf, True)
     k3 = _rhs(x + 0.5 * h * k2[0], xd + 0.5 * h * k2[1], xdd + 0.5 * h * k2[2],
-              a, sf, quad)
-    k4 = _rhs(x + h * k3[0], xd + h * k3[1], xdd + h * k3[2], a, sf, quad)
+              a, sf, True)
+    k4 = _rhs(x + h * k3[0], xd + h * k3[1], xdd + h * k3[2], a, sf, True)
     return (
         x + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0,
         xd + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0,
@@ -275,14 +309,14 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
     n_sub = max(1, math.ceil(dt_out / config.step - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
-    a, sf, quad = params.a, params.sign.factor, params.quadratic
+    a, sf = params.a, params.sign.factor
 
     s = config.initial_state.as_tuple()
     states = [s]
     for k in range(1, p):
         base = config.t_start + (k - 1) * dt_out
         for i in range(n_sub):
-            s = kernel(s[0], s[1], s[2], h, a, sf, quad)
+            s = kernel(s[0], s[1], s[2], h, a, sf)
             if not _finite3(s):
                 raise IntegrationOverflowError(
                     "integration diverged to non-finite values",
@@ -294,7 +328,7 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
 
 
 def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
-    a, sf, quad = params.a, params.sign.factor, params.quadratic
+    a, sf = params.a, params.sign.factor
     t_end = config.t_end
     p = config.output_points
     dt_out = (t_end - config.t_start) / (p - 1)
@@ -318,7 +352,7 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
         last = h >= remaining
         h_eff = remaining if last else h
 
-        ks = [_rhs(y[0], y[1], y[2], a, sf, quad)]
+        ks = [_rhs(y[0], y[1], y[2], a, sf, True)]
         overflow = not _finite3(ks[0])
         if not overflow:
             for row in _DP_A:
@@ -330,7 +364,7 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
                 if not _finite3(yi):
                     overflow = True
                     break
-                ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, quad))
+                ks.append(_rhs(yi[0], yi[1], yi[2], a, sf, True))
         if overflow:
             raise IntegrationOverflowError(
                 "integration diverged to non-finite values",

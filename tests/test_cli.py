@@ -488,9 +488,11 @@ class TestConfigFile:
         ("simulate", {"ic": [True, 0, 0.1]}),
         ("simulate", {"ic": ["0", "0", "0.1"]}),
         ("simulate", {"ic": [0, 0, math.inf]}),
+        ("simulate", {"ic": "0,0,0.1"}),
+        ("simulate", {"ic": "nan,0,0.1"}),
     ], ids=["a-string", "points-nan", "grid-points-nan", "step-null",
             "sign-number", "t-end-huge-int", "ic-huge-int", "ic-bool",
-            "ic-strings", "ic-inf"])
+            "ic-strings", "ic-inf", "ic-text", "ic-text-nan"])
     def test_malformed_value_is_usage_error(self, capsys, trace_dir,
                                             command, doc):
         tmp_path, files = trace_dir

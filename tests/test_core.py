@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -45,10 +46,6 @@ class TestJerkRhs:
     def test_damping_term(self):
         d = jerk_rhs(SystemState(0.0, 0.0, 1.0), JerkParams(a=2.0))
         assert d.as_tuple() == (0.0, 1.0, -2.0)
-
-    def test_quadratic_term_disabled(self):
-        d = jerk_rhs(SystemState(0.0, 1.0, 0.0), JerkParams(a=2.0, quadratic=False))
-        assert d.as_tuple() == (1.0, 0.0, 0.0)
 
     def test_not_odd_symmetric(self):
         # The squared-velocity term breaks odd symmetry of a single vector
@@ -96,7 +93,7 @@ class TestJerkParams:
         p = JerkParams()
         assert p.a == DEFAULT_A == 2.03
         assert p.sign is Sign.MINUS
-        assert p.quadratic is True
+        assert [f.name for f in dataclasses.fields(p)] == ["a", "sign"]
 
     @pytest.mark.parametrize("bad_a", [0.0, -1.0, -2.03])
     def test_rejects_nonpositive_damping(self, bad_a):
@@ -129,6 +126,11 @@ class TestSign:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValidationError):
             Sign.parse("positive-ish")
+        # Names are ASCII: Unicode case mapping would read a dotless i as I
+        # and a long s as S, and str.strip would remove Unicode spaces.
+        for text in ("m\u0131nus", "plu\u017f", "plus\u3000"):
+            with pytest.raises(ValidationError, match="sign must be 'minus' or 'plus'"):
+                Sign.parse(text)
 
 
 class TestSystemState:

@@ -175,6 +175,22 @@ class TestCsvParsing:
         with pytest.raises(ValidationError):
             CsvOptions(delimiter="")
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"delimiter": 5}, "delimiter must be a non-empty string, got 5"),
+        ({"delimiter": b","}, "delimiter must be a non-empty string, got b','"),
+        ({"delimiter": None}, "delimiter must be a non-empty string, got None"),
+        ({"header": "no"}, "header must be True or False, got 'no'"),
+        ({"header": 1}, "header must be True or False, got 1"),
+        ({"header": None}, "header must be True or False, got None"),
+    ], ids=["delimiter-int", "delimiter-bytes", "delimiter-none", "header-str",
+            "header-int", "header-none"])
+    def test_options_of_the_wrong_kind_are_refused(self, kwargs, message):
+        # Refused when built: at parse time a bytes delimiter would fail with
+        # a bare TypeError, and a truthy string header would drop a data row.
+        with pytest.raises(ValidationError) as info:
+            CsvOptions(**kwargs)
+        assert str(info.value) == message
+
 
 class TestSpiceParsing:
     def test_basic(self):

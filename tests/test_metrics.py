@@ -107,6 +107,11 @@ class TestNrmse:
         assert MeanFrom.parse(" MEASURED ") is MeanFrom.MEASURED
         with pytest.raises(ValidationError):
             MeanFrom.parse("both")
+        # Names are ASCII: Unicode case mapping would read a dotless i as I
+        # and a long s as S.
+        for text in ("s\u0131mulated", "mea\u017fured"):
+            with pytest.raises(ValidationError, match="simulated"):
+                MeanFrom.parse(text)
 
     def test_shift_and_scale_invariance(self, rng):
         for _ in range(100):
