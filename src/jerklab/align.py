@@ -53,7 +53,6 @@ def build_common_grid(traces: Sequence[TimeSeries], n: int) -> CommonGrid:
     """
     if not traces:
         raise ValidationError("need at least one trace")
-    n = _require_int(n, f"n must be an integer >= 2, got {n!r}", 2)
     t0 = max(tr.t_start for tr in traces)
     t1 = min(tr.t_end for tr in traces)
     if t1 <= t0:

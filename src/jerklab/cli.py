@@ -13,6 +13,7 @@ Exit statuses: 0 success; 1 I/O or data failure; 2 usage/validation failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -25,6 +26,11 @@ from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
 
+_COMPARISON = inspect.signature(build_comparison).parameters
+#: The NRMSE threshold ``horizon`` uses when neither a flag nor the config sets one.
+_HORIZON_THRESHOLD = 1.0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One declarative document holding every tunable the CLI accepts.
@@ -34,17 +40,17 @@ class RunConfig:
     """
 
     a: float = JerkParams().a
-    sign: str = "minus"
+    sign: str = JerkParams().sign.name.lower()
     ic: tuple[float, float, float] = DEFAULT_INITIAL_STATE.as_tuple()
-    method: str = "rk4"
+    method: str = IntegratorConfig().method.name.lower()
     step: float = IntegratorConfig().step
     t_start: float = IntegratorConfig().t_start
     t_end: float = IntegratorConfig().t_end
     output_points: int = IntegratorConfig().output_points
-    grid_points: int = 4700
-    n_windows: int = 10
+    grid_points: int = _COMPARISON["grid_points"].default
+    n_windows: int = _COMPARISON["n_windows"].default
     threshold: float | None = None
-    mean_from: str = "simulated"
+    mean_from: str = _COMPARISON["mean_from"].default.name.lower()
     format: str = "auto"
 
     @classmethod
@@ -112,13 +118,13 @@ def _parse_ic_list(value) -> tuple[float, float, float]:
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in (f.name for f in fields(RunConfig)):
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            overrides[name] = flag_val
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if "ic" in overrides:
-        overrides["ic"] = _parse_ic_list(overrides["ic"])
+        try:
+            overrides["ic"] = SystemState(*_parse_ic_list(overrides["ic"])).as_tuple()
+        except ValidationError as exc:
+            raise ValidationError(f"--ic: {exc}") from None
     return replace(cfg, **overrides)
 
 
@@ -243,7 +249,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_horizon(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     if cfg.threshold is None:
-        cfg = replace(cfg, threshold=1.0)
+        cfg = replace(cfg, threshold=_HORIZON_THRESHOLD)
     report = _build_report(args, cfg)
     best_id = None
     best_time = None
@@ -262,6 +268,8 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = RunConfig()  # every "(default ...)" below is read from it
+    num = format_float
     parser = argparse.ArgumentParser(
         prog="jerklab",
         description="Simulate a quadratic jerk chaotic oscillator and "
@@ -277,31 +285,32 @@ def _build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--candidate", action="append", required=True,
                         metavar="NAME=FILE", help="candidate trace (repeatable)")
     traces.add_argument("--windows", type=int, dest="n_windows",
-                        help="number of cumulative windows (default 10)")
+                        help=f"number of cumulative windows (default {num(d.n_windows)})")
     traces.add_argument("--grid-points", type=int, dest="grid_points",
-                        help="common-grid sample count (default 4700)")
-    traces.add_argument("--nrmse-mean", choices=("simulated", "measured"),
+                        help=f"common-grid sample count (default {num(d.grid_points)})")
+    traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
-                        "normalizing mean (default simulated)")
+                        f"normalizing mean (default {d.mean_from})")
     traces.add_argument("--format", choices=("auto", "csv", "spice"),
-                        help="trace file format (default auto-sniff)")
+                        help=f"trace file format (default {d.format}: sniff each file)")
 
     sim = sub.add_parser("simulate", parents=[config],
                          help="integrate the system, write a trace CSV")
     sim.add_argument("--a", type=float, dest="a",
-                     help="bifurcation parameter (default 2.03)")
-    sim.add_argument("--sign", choices=("minus", "plus"),
-                     help="sign of the quadratic term (default minus)")
-    sim.add_argument("--ic", help="initial state as X,XD,XDD (default 0,0,0.1)")
-    sim.add_argument("--method", choices=("euler", "rk4", "rk45"),
-                     help="integration method (default rk4)")
+                     help=f"bifurcation parameter (default {num(d.a)})")
+    sim.add_argument("--sign", choices=[m.name.lower() for m in Sign],
+                     help=f"sign of the quadratic term (default {d.sign})")
+    sim.add_argument("--ic", help="initial state as X,XD,XDD "
+                                  f"(default {','.join(map(num, d.ic))})")
+    sim.add_argument("--method", choices=[m.name.lower() for m in Method],
+                     help=f"integration method (default {d.method})")
     sim.add_argument("--h", type=float, dest="step",
                      help="step ceiling (fixed-step) or initial step (rk45); "
-                          "default 1e-3")
+                          f"default {num(d.step)}")
     sim.add_argument("--t-end", type=float, dest="t_end",
-                     help="end of the integration span (default 100)")
+                     help=f"end of the integration span (default {num(d.t_end)})")
     sim.add_argument("--points", type=int, dest="output_points",
-                     help="number of output samples (default 4700)")
+                     help=f"number of output samples (default {num(d.output_points)})")
     sim.add_argument("--out", required=True, help="output trace CSV path")
     sim.set_defaults(func=cmd_simulate)
 
@@ -311,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also compute prediction horizons at this NRMSE "
                            "threshold")
     comp.add_argument("--report", default="report.json",
-                      help="JSON report path (default report.json)")
+                      help="JSON report path (default %(default)s)")
     comp.add_argument("--windows-out",
                       help="per-window CSV path (default <report>_windows.csv)")
     comp.set_defaults(func=cmd_compare)
@@ -319,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hor = sub.add_parser("horizon", parents=[config, traces],
                          help="per-candidate prediction horizons")
     hor.add_argument("--threshold", type=float,
-                     help="NRMSE threshold (default 1.0)")
+                     help=f"NRMSE threshold (default {num(_HORIZON_THRESHOLD)})")
     hor.add_argument("--report", help="optional JSON report path")
     hor.set_defaults(func=cmd_horizon)
 

@@ -36,10 +36,6 @@ class Sign(enum.Enum):
     MINUS = -1.0
     PLUS = 1.0
 
-    @property
-    def factor(self) -> float:
-        return self.value
-
     @classmethod
     def parse(cls, text: str) -> "Sign":
         return _require_member(cls, text, "sign must be 'minus' or 'plus', got {!r}")
@@ -92,34 +88,7 @@ def _rhs(x, xd, xdd, a, sf):
     return xd, xdd, -(a * xdd) - x + sf * (xd * xd)
 
 
-def jerk_rhs(state: SystemState, params: JerkParams) -> SystemState:
-    """Time derivative of the state.
-
-    Returns (x', x'', x''') packed as a :class:`SystemState`; the third
-    component is the jerk  -a*xdd - x + sign*xd**2. Every integrator steps
-    with this same kernel.
-    """
-    return SystemState(*_rhs(state.x, state.xd, state.xdd, params.a,
-                             params.sign.factor))
-
-
 def in_chaotic_range(params: JerkParams) -> bool:
     """True iff the bifurcation parameter lies strictly inside the chaotic window."""
     return CHAOTIC_A_LOWER < params.a < CHAOTIC_A_UPPER
 
-
-def circuit_time_scale(resistance_ohm: float, capacitance_farad: float) -> float:
-    """Wall-clock seconds per dimensionless time unit for an RC integrator stage.
-
-    One dimensionless time unit corresponds to tau = R*C seconds, so e.g.
-    1 kOhm with 1 uF gives 1 ms per unit and a 0.1 s capture spans 100 units.
-    Divide a capture's time axis in seconds by this value to put it in model
-    time before comparing it with simulated traces.
-    """
-    r = _require_float(resistance_ohm, "resistance_ohm must be finite, got {!r}")
-    c = _require_float(capacitance_farad, "capacitance_farad must be finite, got {!r}")
-    if r <= 0.0:
-        raise ValidationError(f"resistance_ohm must be > 0, got {r!r}")
-    if c <= 0.0:
-        raise ValidationError(f"capacitance_farad must be > 0, got {c!r}")
-    return r * c

@@ -107,8 +107,8 @@ class SimulationResult:
 
 # ---------------------------------------------------------------------------
 # Step kernels: n substeps per call on bare floats, so the fixed-step loop pays
-# one call per output interval and no containers; the public *_step take one
-# validated substep. Stage order is fixed; changing it changes last-ulp results.
+# one call per output interval and no containers. Stage order is fixed;
+# changing it changes last-ulp results.
 
 def _euler(x, xd, xdd, h, a, sf, n):
     for _ in range(n):
@@ -133,34 +133,6 @@ def _rk4(x, xd, xdd, h, a, sf, n):
 def _finite3(s) -> bool:
     return math.isfinite(s[0]) and math.isfinite(s[1]) and math.isfinite(s[2])
 
-
-def _step(kernel, name: str, state: SystemState, h: float, params: JerkParams,
-          ) -> SystemState:
-    h = _require_float(h, "step must be > 0, got {!r}", positive=True)
-    out = kernel(state.x, state.xd, state.xdd, h,
-                 params.a, params.sign.factor, 1)
-    # A non-finite stage cannot hide: it reaches the state through h*k with
-    # h > 0 finite, so checking the result covers every stage (and, as a
-    # non-finite component stays so, every substep of a fused interval).
-    if not _finite3(out):
-        raise IntegrationOverflowError(
-            f"{name} step produced a non-finite state (h={h!r})"
-        )
-    return SystemState(*out)
-
-
-def euler_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
-    """One forward-Euler step."""
-    return _step(_euler, "euler", state, h, params)
-
-
-def rk4_step(state: SystemState, h: float, params: JerkParams) -> SystemState:
-    """One classical 4th-order Runge–Kutta step.
-
-    The four stages are evaluated in the fixed order k1..k4 and combined as
-    (k1 + 2k2 + 2k3 + k4)/6, so repeated calls are bit-identical.
-    """
-    return _step(_rk4, "rk4", state, h, params)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +163,7 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     n_sub = max(1, math.ceil(ratio - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
-    a, sf = params.a, params.sign.factor
+    a, sf = params.a, params.sign.value
 
     s = config.initial_state.as_tuple()
     yield s
@@ -212,7 +184,7 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
 
 def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     """Dormand–Prince states on the output grid, interpolated step by step."""
-    a, sf = params.a, params.sign.factor
+    a, sf = params.a, params.sign.value
     t0, t_end, p = config.t_start, config.t_end, config.output_points
     t, y = t0, config.initial_state.as_tuple()
     k = 0

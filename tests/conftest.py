@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import jerklab
-import jerklab.core
 import jerklab.integrate
 from jerklab.errors import (
     InsufficientDataError,
@@ -135,11 +134,9 @@ class LinearRhs:
 
 @pytest.fixture
 def linear_rhs(monkeypatch) -> LinearRhs:
-    """Swaps the package's jerk kernel for a :class:`LinearRhs`, in the
-    integrators and in ``jerk_rhs``."""
+    """Swaps the integrators' jerk kernel for a :class:`LinearRhs`."""
     rhs = LinearRhs()
     monkeypatch.setattr(jerklab.integrate, "_rhs", rhs)
-    monkeypatch.setattr(jerklab.core, "_rhs", rhs)
     return rhs
 
 
@@ -309,7 +306,7 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
     n_sub = max(1, math.ceil(dt_out / config.step - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
-    a, sf = params.a, params.sign.factor
+    a, sf = params.a, params.sign.value
 
     s = config.initial_state.as_tuple()
     states = [s]
@@ -328,7 +325,7 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
 
 
 def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
-    a, sf = params.a, params.sign.factor
+    a, sf = params.a, params.sign.value
     t_end = config.t_end
     p = config.output_points
     dt_out = (t_end - config.t_start) / (p - 1)

@@ -7,13 +7,15 @@ stdout/stderr can be asserted directly; one subprocess test covers the
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
 import pytest
 
-from jerklab import parse_trace_csv
-from jerklab.cli import main
+from jerklab import MeanFrom, Method, Sign, format_float, parse_trace_csv
+from jerklab import cli
+from jerklab.cli import RunConfig, main
 
 from conftest import mk_ts, run_python
 
@@ -78,12 +80,13 @@ class TestSimulate:
         assert "last finite state" in stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("ic", ["1,2", "a,b,c", "1,2,3,4"])
+    @pytest.mark.parametrize("ic", ["1,2", "a,b,c", "1,2,3,4",
+                                    "nan,0,0.1", "1e999,0,0.1"])
     def test_malformed_ic(self, capsys, tmp_path, ic):
         code, _, stderr = run_cli(
             capsys, "simulate", "--ic", ic, "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "ic" in stderr
+        assert "--ic" in stderr
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -548,3 +551,56 @@ class TestModuleEntryPoint:
         proc = run_python("-m", "jerklab", "--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+def _options(command):
+    """``command``'s options, each flag mapped to its argparse action."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {flag: action for action in sub.choices[command]._actions
+            for flag in action.option_strings}
+
+
+class TestHelpDefaults:
+    _TRACE_FLAGS = {"--windows": "n_windows", "--grid-points": "grid_points",
+                    "--nrmse-mean": "mean_from", "--format": "format"}
+    FLAGS = {
+        "simulate": {"--a": "a", "--sign": "sign", "--ic": "ic",
+                     "--method": "method", "--h": "step", "--t-end": "t_end",
+                     "--points": "output_points"},
+        "compare": _TRACE_FLAGS,
+        "horizon": _TRACE_FLAGS,
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_shows_each_run_config_default(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        options = _options(command)
+        shown = {}
+        for flag, field in self.FLAGS[command].items():
+            value = getattr(RunConfig(), field)
+            if isinstance(value, str):
+                shown[flag] = value
+            elif isinstance(value, tuple):
+                shown[flag] = ",".join(map(format_float, value))
+            else:
+                shown[flag] = format_float(value)
+        if command == "horizon":
+            shown["--threshold"] = format_float(cli._HORIZON_THRESHOLD)
+        for flag, text in shown.items():
+            flag_help = " ".join(options[flag].help.split())
+            assert f"default {text}" in flag_help, flag
+            assert flag_help in help_text, flag
+
+    @pytest.mark.parametrize("command,flag,enum_cls", [
+        ("simulate", "--sign", Sign), ("simulate", "--method", Method),
+        ("compare", "--nrmse-mean", MeanFrom), ("horizon", "--nrmse-mean", MeanFrom),
+    ])
+    def test_choices_are_the_enum_member_names(self, command, flag, enum_cls):
+        choices = _options(command)[flag].choices
+        assert set(choices) == {m.name.lower() for m in enum_cls}
+        assert {enum_cls.parse(c) for c in choices} == set(enum_cls)

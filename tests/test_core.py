@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import jerklab
 from jerklab import (
     CHAOTIC_A_LOWER,
     CHAOTIC_A_UPPER,
@@ -16,75 +17,65 @@ from jerklab import (
     Sign,
     SystemState,
     ValidationError,
-    circuit_time_scale,
     in_chaotic_range,
-    jerk_rhs,
 )
+from jerklab.core import _rhs
+
+MINUS, PLUS = Sign.MINUS.value, Sign.PLUS.value
 
 
 class TestJerkRhs:
+    """The kernel ``_rhs(x, xd, xdd, a, sf)`` every integrator steps with."""
+
     def test_origin_is_not_an_equilibrium(self):
         # J(0,0,0) = -0 - 0 - 0 = 0 ... x-feedback is -x, so the origin IS
         # a fixed point of the flow map: rhs(0,0,0) = (0, 0, 0).
-        d = jerk_rhs(SystemState(0.0, 0.0, 0.0), JerkParams())
-        assert d.as_tuple() == (0.0, 0.0, 0.0)
+        assert _rhs(0.0, 0.0, 0.0, DEFAULT_A, MINUS) == (0.0, 0.0, 0.0)
 
     def test_pure_displacement(self):
         # At (1, 0, 0): velocity and acceleration derivatives vanish and the
         # jerk reduces to the position feedback term alone.
-        d = jerk_rhs(SystemState(1.0, 0.0, 0.0), JerkParams(a=2.0))
-        assert d.as_tuple() == (0.0, 0.0, -1.0)
+        assert _rhs(1.0, 0.0, 0.0, 2.0, MINUS) == (0.0, 0.0, -1.0)
 
     def test_pure_velocity_minus(self):
-        d = jerk_rhs(SystemState(0.0, 1.0, 0.0), JerkParams(a=2.0, sign=Sign.MINUS))
-        assert d.as_tuple() == (1.0, 0.0, -1.0)
+        assert _rhs(0.0, 1.0, 0.0, 2.0, MINUS) == (1.0, 0.0, -1.0)
 
     def test_pure_velocity_plus(self):
-        d = jerk_rhs(SystemState(0.0, 1.0, 0.0), JerkParams(a=2.0, sign=Sign.PLUS))
-        assert d.as_tuple() == (1.0, 0.0, 1.0)
+        assert _rhs(0.0, 1.0, 0.0, 2.0, PLUS) == (1.0, 0.0, 1.0)
 
     def test_damping_term(self):
-        d = jerk_rhs(SystemState(0.0, 0.0, 1.0), JerkParams(a=2.0))
-        assert d.as_tuple() == (0.0, 1.0, -2.0)
+        assert _rhs(0.0, 0.0, 1.0, 2.0, MINUS) == (0.0, 1.0, -2.0)
 
     def test_not_odd_symmetric(self):
         # The squared-velocity term breaks odd symmetry of a single vector
         # field: negating the state does not negate the derivative.
-        p = JerkParams()
-        s = SystemState(0.3, 0.7, -0.2)
-        d_pos = jerk_rhs(s, p)
-        d_neg = jerk_rhs(SystemState(-s.x, -s.xd, -s.xdd), p)
-        assert d_neg.xdd != -d_pos.xdd
+        d_pos = _rhs(0.3, 0.7, -0.2, DEFAULT_A, MINUS)
+        d_neg = _rhs(-0.3, -0.7, 0.2, DEFAULT_A, MINUS)
+        assert d_neg[2] != -d_pos[2]
 
     def test_mirror_pairing_between_signs(self):
         # Negating the state exactly swaps the two nonlinearity signs:
         # rhs_plus(-s) == -rhs_minus(s), bit for bit.
         rnd = random.Random(7)
-        p_minus = JerkParams(a=2.03, sign=Sign.MINUS)
-        p_plus = JerkParams(a=2.03, sign=Sign.PLUS)
         for _ in range(500):
-            s = SystemState(rnd.uniform(-8, 8), rnd.uniform(-8, 8), rnd.uniform(-8, 8))
-            d = jerk_rhs(s, p_minus)
-            m = jerk_rhs(SystemState(-s.x, -s.xd, -s.xdd), p_plus)
-            assert (m.x, m.xd, m.xdd) == (-d.x, -d.xd, -d.xdd)
+            x, xd, xdd = (rnd.uniform(-8, 8), rnd.uniform(-8, 8), rnd.uniform(-8, 8))
+            d = _rhs(x, xd, xdd, 2.03, MINUS)
+            m = _rhs(-x, -xd, -xdd, 2.03, PLUS)
+            assert m == (-d[0], -d[1], -d[2])
 
     def test_linear_on_zero_velocity_slice(self):
         # With the velocity component pinned at zero the field is linear in
         # (x, xdd); check superposition to tight tolerance.
         rnd = random.Random(11)
-        p = JerkParams(a=2.03)
+        a = 2.03
         for _ in range(200):
-            s1 = SystemState(rnd.uniform(-4, 4), 0.0, rnd.uniform(-4, 4))
-            s2 = SystemState(rnd.uniform(-4, 4), 0.0, rnd.uniform(-4, 4))
+            s1 = (rnd.uniform(-4, 4), 0.0, rnd.uniform(-4, 4))
+            s2 = (rnd.uniform(-4, 4), 0.0, rnd.uniform(-4, 4))
             al, be = rnd.uniform(-2, 2), rnd.uniform(-2, 2)
-            combo = SystemState(al * s1.x + be * s2.x, 0.0,
-                                al * s1.xdd + be * s2.xdd)
-            d1, d2, dc = jerk_rhs(s1, p), jerk_rhs(s2, p), jerk_rhs(combo, p)
-            for got, want in zip(
-                dc.as_tuple(),
-                tuple(al * u + be * v
-                      for u, v in zip(d1.as_tuple(), d2.as_tuple())),
-            ):
+            combo = (al * s1[0] + be * s2[0], 0.0, al * s1[2] + be * s2[2])
+            d1, d2, dc = (_rhs(*s1, a, MINUS), _rhs(*s2, a, MINUS),
+                          _rhs(*combo, a, MINUS))
+            for got, want in zip(dc, (al * u + be * v for u, v in zip(d1, d2))):
                 assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -112,8 +103,8 @@ class TestJerkParams:
 
 class TestSign:
     def test_factors(self):
-        assert Sign.MINUS.factor == -1.0
-        assert Sign.PLUS.factor == 1.0
+        assert Sign.MINUS.value == -1.0
+        assert Sign.PLUS.value == 1.0
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -173,15 +164,9 @@ class TestChaoticRange:
         assert flags[mid_index]
 
 
-class TestCircuitTimeScale:
-    def test_unit_product(self):
-        assert circuit_time_scale(1.0, 1.0) == 1.0
-
-    def test_kilohm_microfarad(self):
-        assert circuit_time_scale(1e3, 1e-6) == pytest.approx(1e-3, rel=1e-15)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            circuit_time_scale(0.0, 1e-6)
-        with pytest.raises(ValidationError):
-            circuit_time_scale(1e3, -1e-6)
+def test_public_surface_resolves_without_the_removed_wrappers():
+    for name in ("euler_step", "rk4_step", "jerk_rhs", "circuit_time_scale"):
+        assert name not in jerklab.__all__
+        assert not hasattr(jerklab, name)
+    for name in jerklab.__all__:
+        assert hasattr(jerklab, name), name

@@ -18,15 +18,14 @@ from jerklab import (
     SystemState,
     UniformSeries,
     ValidationError,
-    euler_step,
-    jerk_rhs,
-    rk4_step,
     simulate,
 )
 
 import conftest
 from conftest import reference_simulate
 from jerklab import integrate
+from jerklab.core import _rhs
+from jerklab.integrate import _euler, _rk4
 
 A_DEFAULT = 2.03
 IC_CAPTURED = SystemState(0.0, 0.0, 0.1)
@@ -52,59 +51,48 @@ def linear_closed_form(a: float, times):
 
 
 class TestStepKernels:
+    """One substep (``n=1``) of the fixed-step kernels, on bare floats."""
+
     def test_euler_step_formula(self):
         # From (1, 0, 0) the derivative is (0, 0, -1); one explicit step of
         # h = 0.1 moves only the xdd component, exactly.
-        s = euler_step(SystemState(1.0, 0.0, 0.0), 0.1, JerkParams(a=2.0))
-        assert s.as_tuple() == (1.0, 0.0, -0.1)
+        assert _euler(1.0, 0.0, 0.0, 0.1, 2.0, -1.0, 1) == (1.0, 0.0, -0.1)
 
     def test_euler_step_is_one_step_along_jerk_rhs(self):
-        # The public RHS is the integrators' kernel: one Euler step equals
-        # s + h*jerk_rhs(s, p) bit for bit.
+        # One Euler substep equals s + h*_rhs(s) bit for bit.
         rnd = random.Random(11)
         for p in (JerkParams(), JerkParams(sign=Sign.PLUS), JerkParams(a=0.7)):
+            a, sf = p.a, p.sign.value
             for _ in range(20):
-                s = SystemState(*(rnd.uniform(-5.0, 5.0) for _ in range(3)))
+                s = tuple(rnd.uniform(-5.0, 5.0) for _ in range(3))
                 h = 10.0 ** rnd.uniform(-4.0, -1.0)
-                d = jerk_rhs(s, p)
-                want = (s.x + h * d.x, s.xd + h * d.xd, s.xdd + h * d.xdd)
-                got = euler_step(s, h, p).as_tuple()
+                d = _rhs(*s, a, sf)
+                want = tuple(v + h * dv for v, dv in zip(s, d))
+                got = _euler(*s, h, a, sf, 1)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_rk4_step_against_exact_rational_expansion(self):
         # Frozen oracle: the four-stage update from (1, 0, 0) with a = 2,
         # h = 0.1 evaluated in exact rational arithmetic, rounded once.
-        s = rk4_step(SystemState(1.0, 0.0, 0.0), 0.1, JerkParams(a=2.0))
-        assert s.x == pytest.approx(0.9998416666666666, rel=1e-13)
-        assert s.xd == pytest.approx(-0.00468334375, rel=1e-13)
-        assert s.xdd == pytest.approx(-0.09062969166666666, rel=1e-13)
+        x, xd, xdd = _rk4(1.0, 0.0, 0.0, 0.1, 2.0, -1.0, 1)
+        assert x == pytest.approx(0.9998416666666666, rel=1e-13)
+        assert xd == pytest.approx(-0.00468334375, rel=1e-13)
+        assert xdd == pytest.approx(-0.09062969166666666, rel=1e-13)
 
     def test_steps_are_deterministic(self):
         p = JerkParams()
-        s = SystemState(0.3, -0.2, 0.7)
-        a1 = rk4_step(s, 1e-3, p)
-        a2 = rk4_step(s, 1e-3, p)
-        assert a1.as_tuple() == a2.as_tuple()
-        b1 = euler_step(s, 1e-3, p)
-        b2 = euler_step(s, 1e-3, p)
-        assert b1.as_tuple() == b2.as_tuple()
-
-    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
-    def test_step_rejects_bad_h(self, h):
-        s = SystemState(1.0, 0.0, 0.0)
-        with pytest.raises(ValidationError, match="step must be > 0"):
-            rk4_step(s, h, JerkParams())
-        with pytest.raises(ValidationError, match="step must be > 0"):
-            euler_step(s, h, JerkParams())
+        args = (0.3, -0.2, 0.7, 1e-3, p.a, p.sign.value, 1)
+        assert _rk4(*args) == _rk4(*args)
+        assert _euler(*args) == _euler(*args)
 
     def test_step_overflow_raises(self):
-        # A state near the float ceiling overflows inside the stage math; the
-        # failure must surface as an overflow error, not as inf/nan output.
-        s = SystemState(1e200, 1e200, 1e200)
-        with pytest.raises(IntegrationOverflowError):
-            rk4_step(s, 1e200, JerkParams())
-        with pytest.raises(IntegrationOverflowError):
-            euler_step(s, 1e200, JerkParams())
+        # A state near the float ceiling overflows inside the stage math: one
+        # substep leaves a non-finite component, which the drivers check for
+        # (the simulate escape tests cover the error they raise).
+        p = JerkParams()
+        for kernel in (_rk4, _euler):
+            out = kernel(1e200, 1e200, 1e200, 1e200, p.a, p.sign.value, 1)
+            assert not all(math.isfinite(v) for v in out)
 
 
 class TestConfigValidation:
@@ -214,21 +202,21 @@ class TestSubstepScheme:
         assert np.array_equal(res_a.x.values, res_b.x.values)
         assert np.array_equal(res_a.xdd.values, res_b.xdd.values)
 
-    @pytest.mark.parametrize("method,step", [(Method.RK4, rk4_step),
-                                             (Method.EULER, euler_step)],
+    @pytest.mark.parametrize("method,kernel", [(Method.RK4, _rk4),
+                                               (Method.EULER, _euler)],
                              ids=["rk4", "euler"])
-    def test_exact_divisor_takes_single_substep(self, method, step):
+    def test_exact_divisor_takes_single_substep(self, method, kernel):
         # step == dt_out must mean one substep per interval: the emitted
-        # samples then coincide with a hand-rolled chain of public steps.
+        # samples then coincide with a hand-rolled chain of single substeps.
         c = IntegratorConfig(method=method, t_end=1.0, step=0.1,
                              output_points=11)
         res = simulate(c)
         p = JerkParams()
-        s = c.initial_state
-        expected = [s.as_tuple()]
+        s = c.initial_state.as_tuple()
+        expected = [s]
         for _ in range(10):
-            s = step(s, res.x.dt, p)
-            expected.append(s.as_tuple())
+            s = kernel(*s, res.x.dt, p.a, p.sign.value, 1)
+            expected.append(s)
         got = list(zip(res.x.values, res.xd.values, res.xdd.values))
         assert got == expected
 
@@ -587,7 +575,7 @@ class TestIntervalKernels:
         frozen = conftest._euler if method is Method.EULER else conftest._rk4
         s, g = start.as_tuple(), -1
         while conftest._finite3(s):
-            s, g = frozen(*s, h, p.a, p.sign.factor), g + 1
+            s, g = frozen(*s, h, p.a, p.sign.value), g + 1
         wanted = {"first": lambda n: g % n == 0, "last": lambda n: g % n == n - 1,
                   "middle": lambda n: 0 < g % n < n - 1}[where]
         n_sub = next(n for n in range(3, g + 2) if wanted(n))

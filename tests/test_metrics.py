@@ -30,13 +30,10 @@ from jerklab import (
     WindowedNrmse,
     build_common_grid,
     build_comparison,
-    circuit_time_scale,
     cumulative_nrmse,
     divergence_rate,
-    euler_step,
     nrmse,
     prediction_horizon,
-    rk4_step,
     select_reference,
 )
 
@@ -387,8 +384,6 @@ _FLOAT_ARGUMENTS = {
     "SystemState.x": (lambda v: SystemState(v, 0.0, 0.0), "x must be finite, got {!r}"),
     "SystemState.xdd": (lambda v: SystemState(0.0, 0.0, v), "xdd must be finite, got {!r}"),
     "JerkParams.a": (lambda v: JerkParams(a=v), "a must be finite, got {!r}"),
-    "circuit_time_scale": (lambda v: circuit_time_scale(v, 1.0),
-                           "resistance_ohm must be finite, got {!r}"),
     "CommonGrid.t0": (lambda v: CommonGrid(t0=v, t1=1.0, n=3),
                       "grid endpoints must be finite"),
     "CommonGrid.t1": (lambda v: CommonGrid(t0=0.0, t1=v, n=3),
@@ -414,7 +409,6 @@ def test_non_finite_value_is_a_validation_error(where, value, shown):
 _FLOATS = {"None": None, "abc": "abc", "10**400": 10**400}
 _NAMES = {"None": None, "nan": math.nan, "10**400": 10**400}
 _INDICES = {"None": None, "abc": "abc", "nan": math.nan, "1.5": 1.5}
-_STATE = SystemState(1.0, 0.0, 0.0)
 _ARGUMENTS = {
     "prediction_horizon": (lambda v: prediction_horizon(*_PAIR, v),
                            "threshold must be > 0, got {!r}", _FLOATS),
@@ -426,10 +420,6 @@ _ARGUMENTS = {
                          "t0 must be finite, got {!r}", _FLOATS),
     "UniformSeries.dt": (lambda v: UniformSeries(0.0, v, [0.0]),
                          "dt must be finite and > 0, got {!r}", _FLOATS),
-    "rk4_step": (lambda v: rk4_step(_STATE, v, JerkParams()),
-                 "step must be > 0, got {!r}", _FLOATS),
-    "euler_step": (lambda v: euler_step(_STATE, v, JerkParams()),
-                   "step must be > 0, got {!r}", _FLOATS),
     "WindowedNrmse.scores": (lambda v: WindowedNrmse((1, 2), (0.1, v)),
                              "scores must be finite and >= 0, got {!r}", _FLOATS),
     "select_reference": (lambda v: select_reference({"{a}": v}),
