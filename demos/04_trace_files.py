@@ -12,10 +12,8 @@ from jerklab import (
     IntegratorConfig,
     ParseError,
     load_trace,
-    parse_spice_export,
-    parse_trace_csv,
+    parse_trace,
     simulate,
-    sniff_format,
     write_series_csv,
 )
 
@@ -31,10 +29,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {len(back)} samples to {path.name}; "
           f"values round-tripped bit-exactly: {exact}")
 
-    # --- Circuit-simulator exports are sniffed by their tab layout --------
+    # --- Circuit-simulator exports are told apart by their tab layout -----
     spice_text = "time\tV(xdd)\n0.0\t1.0e-2\n1.0e-3\t2.0e-2\n2.0e-3\t1.5e-2\n"
-    print(f"tab-separated export sniffs as: {sniff_format(spice_text)!r}")
-    trace = parse_spice_export(spice_text)
+    trace = parse_trace(spice_text)
     print(f"parsed export: {len(trace)} samples of {trace.meta.signal!r}")
 
     # --- Failures carry the physical line number --------------------------
@@ -44,6 +41,6 @@ with tempfile.TemporaryDirectory() as tmp:
         ("truncated file", "t,v\n0,1\n"),
     ]:
         try:
-            parse_trace_csv(text)
+            parse_trace(text)
         except ParseError as exc:
             print(f"{label:>22}: {exc}")

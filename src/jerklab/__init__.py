@@ -25,12 +25,9 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
-    CsvOptions,
     format_float,
     load_trace,
-    parse_spice_export,
-    parse_trace_csv,
-    sniff_format,
+    parse_trace,
     write_series_csv,
 )
 from .integrate import (
@@ -62,7 +59,6 @@ __all__ = [
     "CandidateScore",
     "CommonGrid",
     "ComparisonReport",
-    "CsvOptions",
     "DEFAULT_A",
     "DEFAULT_INITIAL_STATE",
     "DataError",
@@ -95,13 +91,11 @@ __all__ = [
     "in_chaotic_range",
     "load_trace",
     "nrmse",
-    "parse_spice_export",
-    "parse_trace_csv",
+    "parse_trace",
     "prediction_horizon",
     "resample_linear",
     "select_reference",
     "simulate",
-    "sniff_format",
     "write_series_csv",
     "__version__",
 ]

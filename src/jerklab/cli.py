@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
 from .errors import DataError, ValidationError
-from .ingest import format_float, load_trace, write_series_csv
+from .ingest import FORMATS, format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
 
@@ -51,7 +51,7 @@ class RunConfig:
     n_windows: int = _COMPARISON["n_windows"].default
     threshold: float | None = None
     mean_from: str = _COMPARISON["mean_from"].default.name.lower()
-    format: str = "auto"
+    format: str = inspect.signature(load_trace).parameters["fmt"].default
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -79,18 +79,20 @@ class RunConfig:
 
 
 def _config_value(key: str, value):
-    """``value``, checked to have the JSON type its flag parses to: a string,
-    an integer or a finite number (``threshold`` may also be null, and ``ic``
-    must be a list whose every element is a finite number)."""
+    """``value``, checked to have the JSON type of the key's ``RunConfig()``
+    default: a string, an integer or a finite number (``threshold`` may also
+    be null, and ``ic`` must be a list whose every element is a finite
+    number)."""
     if key == "ic":
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
         for v in value:
             _config_value("ic component", v)
         return _parse_ic_list(value)
-    if key in ("sign", "method", "mean_from", "format"):
+    default = getattr(RunConfig(), key, None)  # None for threshold and an ic component
+    if isinstance(default, str):
         ok, want = isinstance(value, str), "a string"
-    elif key in ("output_points", "grid_points", "n_windows"):
+    elif type(default) is int:
         ok, want = type(value) is int, "an integer"
     elif key == "threshold" and value is None:
         return value
@@ -291,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
                         f"normalizing mean (default {d.mean_from})")
-    traces.add_argument("--format", choices=("auto", "csv", "spice"),
+    traces.add_argument("--format", choices=FORMATS,
                         help=f"trace file format (default {d.format}: sniff each file)")
 
     sim = sub.add_parser("simulate", parents=[config],

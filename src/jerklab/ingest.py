@@ -1,48 +1,29 @@
 """Parsers and writers for trace files.
 
-Two text formats are read, with LF or CRLF line endings: delimited text
-(comma CSV by default, optional header row) and tab-separated exports from
-SPICE-style circuit simulators, whose header names a ``time`` column. A file
-is decoded and split into lines once. Blank lines are skipped but keep their
-physical numbering; the header is the first non-blank line, and format
-sniffing reads that same line. Cells are read by ``float()`` after stripping
-whitespace ("." is the only decimal separator; ``1_0`` and non-ASCII digits
-are numbers). Values are checked once, by :class:`TimeSeries`; only a file
-that fails is scanned again, to name the first faulty row and its line.
+Two text formats are read, with LF or CRLF line endings: comma-separated
+``time,value`` rows (the layout :func:`write_series_csv` writes) and
+tab-separated exports from SPICE-style circuit simulators, whose header names
+a ``time`` column. A file is decoded and split into lines once. Blank lines
+are skipped but keep their physical numbering; the first non-blank line is
+always the header, and the ``auto`` format reads that same line. Cells are
+read by ``float()`` after stripping whitespace ("." is the only decimal
+separator; ``1_0`` and non-ASCII digits are numbers). Values are checked
+once, by :class:`TimeSeries`; only a file that fails is scanned again, to
+name the first faulty row and its line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from os import PathLike
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, ValidationError, _require_int
+from .errors import InsufficientDataError, ParseError, ValidationError
 from .series import SeriesMeta, TimeSeries, UniformSeries
 
-
-@dataclass(frozen=True)
-class CsvOptions:
-    """Column layout of a delimited trace file."""
-
-    time_column: int = 0
-    value_column: int = 1
-    delimiter: str = ","
-    header: bool = True
-
-    def __post_init__(self):
-        for name in ("time_column", "value_column"):
-            object.__setattr__(self, name, _require_int(
-                getattr(self, name), "column indices must be >= 0", 0))
-        if self.time_column == self.value_column:
-            raise ValidationError("time and value columns must differ")
-        if not isinstance(self.delimiter, str) or not self.delimiter:
-            raise ValidationError(
-                f"delimiter must be a non-empty string, got {self.delimiter!r}")
-        if not isinstance(self.header, bool):
-            raise ValidationError(f"header must be True or False, got {self.header!r}")
+#: The trace formats :func:`parse_trace` reads; ``auto`` picks one per file.
+FORMATS = ("auto", "csv", "spice")
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -78,12 +59,11 @@ def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
         pass
     # A row is faulty or there are fewer than two: rescan with per-row checks
     # to name the first fault and its physical line.
-    need = max(time_col, value_col) + 1
     number, rows, prev = 1, 0, 0.0
     for number, line in _numbered(lines, start):
         fields = line.split(delimiter)
-        if len(fields) < need:
-            raise ParseError(number, f"expected at least {need} fields, found {len(fields)}")
+        if len(fields) < 2:
+            raise ParseError(number, f"expected at least 2 fields, found {len(fields)}")
         row = []
         for col in (time_col, value_col):
             text = fields[col].strip()
@@ -101,19 +81,32 @@ def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
     raise InsufficientDataError(number, rows)
 
 
-def _sniff(header: tuple[int, str] | None) -> str:
-    return "spice" if header and "\t" in header[1] else "csv"
+def parse_trace(data: bytes | str, fmt: str = "auto",
+                source_id: str = "") -> TimeSeries:
+    """Parse a trace text into a :class:`TimeSeries`.
 
-
-def _read(lines: list[str], fmt: str, options: CsvOptions, source_id: str) -> TimeSeries:
-    header = next(_numbered(lines), None)
+    The first non-blank line is the header. ``csv`` rows are comma-separated
+    with the time in column 0 and the value in column 1; header cell 1, when
+    present, names the signal. ``spice`` rows are tab-separated; the header
+    must label a column ``time`` (any case), and the first other column
+    supplies the values and the signal name. ``auto`` reads ``spice`` when
+    the header holds a tab and ``csv`` otherwise.
+    """
+    if fmt not in FORMATS:
+        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
+    lines = _lines(data)
+    # Line 0 stands for a missing header: every line is blank.
+    start, header = next(_numbered(lines), (0, ""))
     if fmt == "auto":
-        fmt = _sniff(header)
-    if fmt == "spice":
-        if header is None:
+        fmt = "spice" if "\t" in header else "csv"
+    if fmt == "csv":
+        fields = header.split(",")
+        time_col, value_col, delimiter = 0, 1, ","
+        signal = fields[1].strip() if len(fields) > 1 else ""
+    else:
+        if not start:
             raise ParseError(1, "missing header line")
-        start, line = header
-        fields = [f.strip() for f in line.split("\t")]
+        fields = [f.strip() for f in header.split("\t")]
         time_col = next((i for i, f in enumerate(fields) if f.lower() == "time"), None)
         if time_col is None:
             raise ParseError(start, f"no 'time' column in header {fields!r}")
@@ -121,40 +114,8 @@ def _read(lines: list[str], fmt: str, options: CsvOptions, source_id: str) -> Ti
             raise ParseError(start, "header has a time column but no value column")
         value_col = int(time_col == 0)  # the first non-time column
         delimiter, signal = "\t", fields[value_col]
-    elif fmt == "csv":
-        time_col, value_col = options.time_column, options.value_column
-        delimiter, start, signal = options.delimiter, 0, ""
-        if options.header:
-            if header is None:
-                raise InsufficientDataError(1, 0)
-            start, line = header  # the rows start at the index after the header
-            fields = line.split(delimiter)
-            if value_col < len(fields):
-                signal = fields[value_col].strip()
-    else:
-        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
     meta = SeriesMeta(source_id=source_id, signal=signal)
     return _parse_rows(lines, start, time_col, value_col, delimiter, meta)
-
-
-def parse_trace_csv(data: bytes | str, options: CsvOptions = CsvOptions(),
-                    source_id: str = "") -> TimeSeries:
-    """Parse a delimited text trace into a :class:`TimeSeries`.
-
-    With ``options.header`` set, the first non-blank line is skipped
-    unconditionally (it is declared to be a header, not sniffed).
-    """
-    return _read(_lines(data), "csv", options, source_id)
-
-
-def parse_spice_export(data: bytes | str, source_id: str = "") -> TimeSeries:
-    """Parse a tab-separated circuit-simulator export.
-
-    The first non-blank line must be a header with a column labeled ``time``
-    (any case); the first non-time column supplies the values and its label
-    is recorded as the series' signal name. Blank lines are tolerated.
-    """
-    return _read(_lines(data), "spice", CsvOptions(), source_id)
 
 
 def format_float(value: float) -> str:
@@ -170,7 +131,7 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
     """Serialize a series to ``t,v`` CSV bytes.
 
     Output is byte-deterministic for a given series and round-trips through
-    :func:`parse_trace_csv` bit-exactly.
+    :func:`parse_trace` bit-exactly.
     """
     if isinstance(series, UniformSeries):
         pairs = zip(series.times().tolist(), series.values.tolist())
@@ -185,22 +146,12 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def sniff_format(data: bytes | str) -> str:
-    """Guess ``"spice"`` or ``"csv"``: spice when the first non-blank line,
-    the header the parsers read, contains a tab."""
-    return _sniff(next(_numbered(_lines(data)), None))
-
-
 def load_trace(path: str | PathLike, fmt: str = "auto",
-               options: CsvOptions | None = None,
                source_id: str | None = None) -> TimeSeries:
-    """Read and parse a trace file.
+    """Read a trace file and parse it as :func:`parse_trace` does.
 
-    ``fmt`` is ``"csv"``, ``"spice"``, or ``"auto"`` (sniff the first
-    non-blank line, as :func:`sniff_format` does). The file name stem
-    becomes the source id unless one is given. I/O failures propagate as
-    :class:`OSError`.
+    The file name stem becomes the source id unless one is given. I/O
+    failures propagate as :class:`OSError`.
     """
     p = Path(path)
-    return _read(_lines(p.read_bytes()), fmt, options or CsvOptions(),
-                 p.stem if source_id is None else source_id)
+    return parse_trace(p.read_bytes(), fmt, p.stem if source_id is None else source_id)

@@ -238,7 +238,6 @@ class HorizonResult:
 
     time: float
     exceeded: bool
-    windowed: WindowedNrmse
 
 
 def _horizon(windowed: WindowedNrmse, threshold: float,
@@ -246,8 +245,8 @@ def _horizon(windowed: WindowedNrmse, threshold: float,
     for j, score in enumerate(windowed.scores):
         if score > threshold:
             time = (windowed.boundaries[j - 1] - 1) * measured.dt if j else 0.0
-            return HorizonResult(time=time, exceeded=True, windowed=windowed)
-    return HorizonResult(time=measured.span, exceeded=False, windowed=windowed)
+            return HorizonResult(time=time, exceeded=True)
+    return HorizonResult(time=measured.span, exceeded=False)
 
 
 def prediction_horizon(measured: UniformSeries, simulated: UniformSeries,

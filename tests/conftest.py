@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from jerklab.errors import (
     IntegrationOverflowError,
     ParseError,
 )
-from jerklab.ingest import CsvOptions
 from jerklab.integrate import (
     RK45_MAX_FACTOR,
     RK45_MIN_FACTOR,
@@ -144,6 +144,16 @@ def linear_rhs(monkeypatch) -> LinearRhs:
 # reader: every row is checked as it is read, so the first fault in file
 # order is the one reported. Takes text only (decoding is not its concern).
 
+
+class _CsvLayout(NamedTuple):
+    """The former reader's default column layout, the one csv files have."""
+
+    time_column: int = 0
+    value_column: int = 1
+    delimiter: str = ","
+    header: bool = True
+
+
 def _numbered_lines(text: str):
     # splitlines handles LF and CRLF alike; blank lines (commonly a trailing
     # newline artifact) are skipped but keep their physical numbering.
@@ -189,7 +199,7 @@ def _parse_rows(numbered, time_col: int, value_col: int, delimiter: str,
     return TimeSeries(t=times, v=values, meta=meta)
 
 
-def reference_trace_csv(text: str, options: CsvOptions = CsvOptions(),
+def reference_trace_csv(text: str, options: _CsvLayout = _CsvLayout(),
                         source_id: str = "") -> TimeSeries:
     numbered = _numbered_lines(text)
     signal = ""

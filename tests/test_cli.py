@@ -8,13 +8,14 @@ stdout/stderr can be asserted directly; one subprocess test covers the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 
 import pytest
 
-from jerklab import MeanFrom, Method, Sign, format_float, parse_trace_csv
-from jerklab import cli
+from jerklab import MeanFrom, Method, Sign, format_float, parse_trace
+from jerklab import cli, ingest
 from jerklab.cli import RunConfig, main
 
 from conftest import mk_ts, run_python
@@ -52,7 +53,7 @@ class TestSimulate:
             "--out", str(out))
         assert code == 0
         assert "wrote 101 samples" in stdout
-        trace = parse_trace_csv(out.read_bytes())
+        trace = parse_trace(out.read_bytes(), "csv")
         assert len(trace) == 101
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(10.0, rel=1e-12)
@@ -171,7 +172,7 @@ class TestCompare:
         # A leading blank line before a tab-separated header: the sniffer
         # reads the same header line as the parser, so this is an export.
         tmp_path, files = trace_dir
-        measured = parse_trace_csv((tmp_path / "measured.csv").read_bytes())
+        measured = parse_trace((tmp_path / "measured.csv").read_bytes(), "csv")
         export = tmp_path / "measured.txt"
         export.write_text("\ntime\tV(xdd)\n" + "".join(
             f"{t!r}\t{v!r}\n" for t, v in zip(measured.t.tolist(), measured.v.tolist())))
@@ -604,3 +605,9 @@ class TestHelpDefaults:
         choices = _options(command)[flag].choices
         assert set(choices) == {m.name.lower() for m in enum_cls}
         assert {enum_cls.parse(c) for c in choices} == set(enum_cls)
+
+    @pytest.mark.parametrize("command", ["compare", "horizon"])
+    def test_format_choices_and_default_come_from_ingest(self, command):
+        assert tuple(_options(command)["--format"].choices) == ingest.FORMATS
+        assert RunConfig().format == "auto"
+        assert inspect.signature(ingest.load_trace).parameters["fmt"].default == "auto"

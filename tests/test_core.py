@@ -165,7 +165,9 @@ class TestChaoticRange:
 
 
 def test_public_surface_resolves_without_the_removed_wrappers():
-    for name in ("euler_step", "rk4_step", "jerk_rhs", "circuit_time_scale"):
+    for name in ("euler_step", "rk4_step", "jerk_rhs", "circuit_time_scale",
+                 "CsvOptions", "parse_trace_csv", "parse_spice_export",
+                 "sniff_format"):
         assert name not in jerklab.__all__
         assert not hasattr(jerklab, name)
     for name in jerklab.__all__:

@@ -15,7 +15,6 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 STDOUT = {
     "04_trace_files": (
         "wrote 101 samples to xdd.csv; values round-tripped bit-exactly: True\n"
-        "tab-separated export sniffs as: 'spice'\n"
         "parsed export: 3 samples of 'V(xdd)'\n"
         "      non-numeric cell: line 3: not a number: 'zap'\n"
         "  time going backwards: line 4: time not strictly increasing: 1.0 after 2.0\n"

@@ -14,7 +14,6 @@ from jerklab import (
     CandidateScore,
     CommonGrid,
     ComparisonReport,
-    CsvOptions,
     DataError,
     DegenerateDataError,
     DegenerateSeparationError,
@@ -431,10 +430,6 @@ _ARGUMENTS = {
     "Sign.parse": (Sign.parse, "sign must be 'minus' or 'plus', got {!r}", _NAMES),
     "WindowedNrmse.boundaries": (lambda v: WindowedNrmse((v, 2), (0.1, 0.2)),
                                  "boundaries are 1-based and must be >= 1", _INDICES),
-    "CsvOptions.time_column": (lambda v: CsvOptions(time_column=v),
-                               "column indices must be >= 0", _INDICES),
-    "CsvOptions.value_column": (lambda v: CsvOptions(value_column=v),
-                                "column indices must be >= 0", _INDICES),
 }
 
 
@@ -509,7 +504,7 @@ class TestPredictionHorizon:
         r = prediction_horizon(m, m, threshold=1.0, n_windows=4)
         assert not r.exceeded
         assert r.time == m.span
-        assert r.windowed.scores == (0.0,) * 4
+        assert cumulative_nrmse(m, m, 4).scores == (0.0,) * 4
 
     def test_crossing_mid_series(self):
         # Candidate equals the measurement for three quarters, then jumps:
@@ -520,9 +515,10 @@ class TestPredictionHorizon:
             sim_vals[k] += 5.0
         s = mk_uniform(sim_vals, dt=self.DT)
         r = prediction_horizon(m, s, threshold=1.0, n_windows=4)
-        assert r.windowed.boundaries == (10, 20, 30, 40)
-        assert r.windowed.scores[:3] == (0.0, 0.0, 0.0)
-        assert r.windowed.scores[3] > 1.0
+        w = cumulative_nrmse(m, s, 4)
+        assert w.boundaries == (10, 20, 30, 40)
+        assert w.scores[:3] == (0.0, 0.0, 0.0)
+        assert w.scores[3] > 1.0
         assert r.exceeded
         assert r.time == (30 - 1) * self.DT
 
@@ -568,13 +564,14 @@ class TestPredictionHorizon:
                                       threshold=0.05, n_windows=10)
         assert h_fine.time >= h_coarse.time
         # Cross-check both horizons by direct inspection of the profiles.
-        for r in (h_fine, h_coarse):
-            above = [j for j, sc in enumerate(r.windowed.scores) if sc > 0.05]
+        for r, sim in ((h_fine, fine), (h_coarse, coarse)):
+            w = cumulative_nrmse(measured.xdd, sim.xdd, 10)
+            above = [j for j, sc in enumerate(w.scores) if sc > 0.05]
             if above:
                 assert r.exceeded
                 j = above[0]
                 expected = 0.0 if j == 0 else (
-                    (r.windowed.boundaries[j - 1] - 1) * 0.1)
+                    (w.boundaries[j - 1] - 1) * 0.1)
                 assert r.time == expected
             else:
                 assert not r.exceeded
@@ -723,12 +720,12 @@ class TestBuildComparison:
             grid = build_common_grid([measured, *cands.values()], 101)
             m = resample_linear(measured, grid)
             for cid, trace in cands.items():
+                sim = resample_linear(trace, grid)
                 got = report.candidate(cid).horizon
-                want = prediction_horizon(m, resample_linear(trace, grid),
-                                          threshold, n_windows=5)
+                want = prediction_horizon(m, sim, threshold, n_windows=5)
                 assert got.exceeded == want.exceeded
                 assert_bit_equal(got.time, want.time, f"{cid}@{threshold}")
-                assert got.windowed == want.windowed
+                assert report.candidate(cid).windowed == cumulative_nrmse(m, sim, 5)
 
     def test_bad_threshold_rejected_before_scoring(self, monkeypatch):
         monkeypatch.setattr(metrics, "cumulative_nrmse", None)
