@@ -59,11 +59,12 @@ def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
         pass
     # A row is faulty or there are fewer than two: rescan with per-row checks
     # to name the first fault and its physical line.
-    number, rows, prev = 1, 0, 0.0
+    need, number, rows, prev = max(time_col, value_col) + 1, 1, 0, 0.0
     for number, line in _numbered(lines, start):
         fields = line.split(delimiter)
-        if len(fields) < 2:
-            raise ParseError(number, f"expected at least 2 fields, found {len(fields)}")
+        if len(fields) < need:
+            raise ParseError(
+                number, f"expected at least {need} fields, found {len(fields)}")
         row = []
         for col in (time_col, value_col):
             text = fields[col].strip()

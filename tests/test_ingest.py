@@ -188,6 +188,11 @@ class TestSpiceParsing:
         with pytest.raises(InsufficientDataError):
             parse_trace("time\tV(x)\n0\t1\n", "spice")
 
+    def test_row_too_short_for_a_late_time_column(self):
+        with pytest.raises(ParseError) as info:
+            parse_trace("V(a)\tV(b)\ttime\n0\t1\t0\n1\t2\n", "spice")
+        assert str(info.value) == "line 3: expected at least 3 fields, found 2"
+
     def test_trailing_blank_lines(self):
         s = parse_trace("time\tV(x)\n0\t1\n1\t2\n\n\n", "spice")
         assert len(s) == 2
@@ -350,7 +355,8 @@ LAYOUTS = (
            (None, 0, 1, 2)]),
     ("\t", [("time\tV(x)", 0, 1, 2), ("V(x)\tTime", 1, 0, 2),
             ("TIME\tV(a)\tV(b)", 0, 1, 3), ("volts\tamps", 0, 1, 2),
-            ("time", 0, 1, 2), ("time\t", 0, 1, 2)]),
+            ("V(a)\tV(b)\ttime", 2, 0, 3), ("time", 0, 1, 2),
+            ("time\t", 0, 1, 2)]),
 )
 
 
@@ -407,7 +413,9 @@ class TestReferenceReader:
                 kinds[kind] = kinds.get(kind, 0) + 1
         # Every outcome the readers can give was exercised many times.
         assert set(kinds) == {
-            "ok", "expected at least 2 fields, found 1", "not a number",
+            "ok", "expected at least 2 fields, found 1",
+            "expected at least 3 fields, found 1",
+            "expected at least 3 fields, found 2", "not a number",
             "non-finite value", "time not strictly increasing",
             "need at least 2 data rows, found 0",
             "need at least 2 data rows, found 1", "no 'time' column in header",
