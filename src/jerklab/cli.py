@@ -22,13 +22,17 @@ from pathlib import Path
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
 from .errors import DataError, ValidationError
-from .ingest import FORMATS, format_float, load_trace, write_series_csv
+from .ingest import FORMATS, _check_format, format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
 
 _COMPARISON = inspect.signature(build_comparison).parameters
 #: The NRMSE threshold ``horizon`` uses when neither a flag nor the config sets one.
 _HORIZON_THRESHOLD = 1.0
+#: The keys whose value names a choice, each with the check a run applies to
+#: the name; a config file's names go through it before any work starts.
+_NAME_CHECKS = {"sign": Sign.parse, "method": Method.parse,
+                "mean_from": MeanFrom.parse, "format": _check_format}
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ def _config_value(key: str, value):
     """``value``, checked to have the JSON type of the key's ``RunConfig()``
     default: a string, an integer or a finite number (``threshold`` may also
     be null, and ``ic`` must be a list whose every element is a finite
-    number)."""
+    number). A choice's name must also pass its check in ``_NAME_CHECKS``."""
     if key == "ic":
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
@@ -104,6 +108,8 @@ def _config_value(key: str, value):
         want = "a finite number"
     if not ok:
         raise ValidationError(f"{key} must be {want}, got {value!r}")
+    if key in _NAME_CHECKS:
+        _NAME_CHECKS[key](value)
     return value
 
 

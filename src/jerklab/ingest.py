@@ -3,27 +3,51 @@
 Two text formats are read, with LF or CRLF line endings: comma-separated
 ``time,value`` rows (the layout :func:`write_series_csv` writes) and
 tab-separated exports from SPICE-style circuit simulators, whose header names
-a ``time`` column. A file is decoded and split into lines once. Blank lines
-are skipped but keep their physical numbering; the first non-blank line is
-always the header, and the ``auto`` format reads that same line. Cells are
-read by ``float()`` after stripping whitespace ("." is the only decimal
-separator; ``1_0`` and non-ASCII digits are numbers). Values are checked
-once, by :class:`TimeSeries`; only a file that fails is scanned again, to
-name the first faulty row and its line.
+a ``time`` column. Blank lines are skipped but keep their physical numbering;
+the first non-blank line is always the header, and the ``auto`` format reads
+that same line. Rows are read on one of two paths:
+
+* the gated read: when the header is line 1 and every byte after it is an
+  ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
+  only the header is decoded and the rows are read by one
+  :func:`numpy.loadtxt` call. Within that alphabet it parses each cell as
+  ``float()`` does, bit for bit, and refuses the same cells;
+* the checked scan: any other file, and any file the gated read refuses or
+  that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
+  reported first), split into lines and read row by row with ``float()``
+  after stripping whitespace ("." is the only decimal separator; ``1_0`` and
+  non-ASCII digits are numbers). The scan names the first faulty row and its
+  line, or returns the series when it finds none.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from itertools import islice
 from os import PathLike
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InsufficientDataError, ParseError, ValidationError
 from .series import SeriesMeta, TimeSeries, UniformSeries
 
 #: The trace formats :func:`parse_trace` reads; ``auto`` picks one per file.
 FORMATS = ("auto", "csv", "spice")
+_DELIMITERS = {"csv": ",", "spice": "\t"}
+#: Beside the delimiter, the only bytes the gated read takes after the header.
+#: On them np.loadtxt and float() parse alike (both by PyOS_string_to_double),
+#: and no cell holds whitespace for the scan's stripping to remove. loadtxt
+#: ends a line at LF or CRLF, as str.splitlines does, and refuses a lone CR,
+#: which sends the file to the scan.
+_NUMERIC = b"0123456789.eE+-\r\n"
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -45,28 +69,59 @@ def _numbered(lines: list[str], start: int = 0):
             yield number, line
 
 
-def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
-                delimiter: str, meta: SeriesMeta) -> TimeSeries:
+def _first_line(head: bytes) -> str:
+    """``head``, the bytes before the first LF, as the stripped header text
+    when they decode and form one non-blank line; else ``""``."""
+    try:
+        split = head.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return ""
+    return split[0].strip() if len(split) == 1 else ""
+
+
+def _format(fmt: str, header: str) -> str:
+    """The format ``fmt`` stands for in a file with this header line."""
+    if fmt == "auto":
+        return "spice" if "\t" in header else "csv"
+    return fmt
+
+
+def _parse_rows(data: bytes | str, body: bytes, lines: list[str] | None,
+                start: int, cols: tuple[int, int], delimiter: str,
+                meta: SeriesMeta) -> TimeSeries:
+    """The rows after the header line ``start``, as a series.
+
+    ``lines`` is None when ``body``, the bytes after the header, passed the
+    gate: they are then read in one call. A read that fails, and every file
+    that did not pass, goes to the checked scan of ``lines``.
+    """
+    if lines is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                cells = np.loadtxt(io.BytesIO(body), delimiter=delimiter,
+                                   usecols=cols, ndmin=2, comments=None,
+                                   dtype=np.float64)
+            return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
+        except (ValueError, Warning):  # ValidationError is a ValueError
+            lines = _lines(data)
+    return _scan(lines, start, cols, delimiter, meta)
+
+
+def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
+          meta: SeriesMeta) -> TimeSeries:
+    """Read the rows one by one: the series, or the first fault and its
+    physical line."""
+    need, number = max(cols) + 1, 1
     times: list[float] = []
     values: list[float] = []
-    try:
-        for _, line in _numbered(lines, start):
-            fields = line.split(delimiter)
-            times.append(float(fields[time_col].strip()))
-            values.append(float(fields[value_col].strip()))
-        return TimeSeries(t=times, v=values, meta=meta)
-    except (IndexError, ValueError):  # ValidationError is a ValueError
-        pass
-    # A row is faulty or there are fewer than two: rescan with per-row checks
-    # to name the first fault and its physical line.
-    need, number, rows, prev = max(time_col, value_col) + 1, 1, 0, 0.0
     for number, line in _numbered(lines, start):
         fields = line.split(delimiter)
         if len(fields) < need:
             raise ParseError(
                 number, f"expected at least {need} fields, found {len(fields)}")
         row = []
-        for col in (time_col, value_col):
+        for col in cols:
             text = fields[col].strip()
             try:
                 row.append(float(text))
@@ -74,12 +129,16 @@ def _parse_rows(lines: list[str], start: int, time_col: int, value_col: int,
                 raise ParseError(number, f"not a number: {text!r}") from None
             if not math.isfinite(row[-1]):
                 raise ParseError(number, f"non-finite value: {text!r}")
-        if rows and row[0] <= prev:
+        if times and row[0] <= times[-1]:
             raise ParseError(
-                number, f"time not strictly increasing: {row[0]!r} after {prev!r}"
+                number,
+                f"time not strictly increasing: {row[0]!r} after {times[-1]!r}",
             )
-        prev, rows = row[0], rows + 1
-    raise InsufficientDataError(number, rows)
+        times.append(row[0])
+        values.append(row[1])
+    if len(times) < 2:
+        raise InsufficientDataError(number, len(times))
+    return TimeSeries(t=times, v=values, meta=meta)
 
 
 def parse_trace(data: bytes | str, fmt: str = "auto",
@@ -93,16 +152,20 @@ def parse_trace(data: bytes | str, fmt: str = "auto",
     supplies the values and the signal name. ``auto`` reads ``spice`` when
     the header holds a tab and ``csv`` otherwise.
     """
-    if fmt not in FORMATS:
-        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
-    lines = _lines(data)
-    # Line 0 stands for a missing header: every line is blank.
-    start, header = next(_numbered(lines), (0, ""))
-    if fmt == "auto":
-        fmt = "spice" if "\t" in header else "csv"
+    _check_format(fmt)
+    raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
+    head, _, body = raw.partition(b"\n")
+    start, header, lines = 1, _first_line(head), None
+    gate = _NUMERIC + _DELIMITERS[_format(fmt, header)].encode()
+    if not header or body.translate(None, gate):
+        # Not the gated read's layout: decode in full before any header check.
+        lines = _lines(data)
+        # Line 0 stands for a missing header: every line is blank.
+        start, header = next(_numbered(lines), (0, ""))
+    fmt = _format(fmt, header)
     if fmt == "csv":
         fields = header.split(",")
-        time_col, value_col, delimiter = 0, 1, ","
+        time_col, value_col = 0, 1
         signal = fields[1].strip() if len(fields) > 1 else ""
     else:
         if not start:
@@ -114,9 +177,10 @@ def parse_trace(data: bytes | str, fmt: str = "auto",
         if len(fields) < 2:
             raise ParseError(start, "header has a time column but no value column")
         value_col = int(time_col == 0)  # the first non-time column
-        delimiter, signal = "\t", fields[value_col]
+        signal = fields[value_col]
     meta = SeriesMeta(source_id=source_id, signal=signal)
-    return _parse_rows(lines, start, time_col, value_col, delimiter, meta)
+    return _parse_rows(data, body, lines, start, (time_col, value_col),
+                       _DELIMITERS[fmt], meta)
 
 
 def format_float(value: float) -> str:

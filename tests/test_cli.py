@@ -494,9 +494,14 @@ class TestConfigFile:
         ("simulate", {"ic": [0, 0, math.inf]}),
         ("simulate", {"ic": "0,0,0.1"}),
         ("simulate", {"ic": "nan,0,0.1"}),
+        ("simulate", {"method": "bogus"}),
+        ("simulate", {"sign": "minuss"}),
+        ("compare", {"mean_from": "median"}),
+        ("compare", {"format": "parquet"}),
     ], ids=["a-string", "points-nan", "grid-points-nan", "step-null",
             "sign-number", "t-end-huge-int", "ic-huge-int", "ic-bool",
-            "ic-strings", "ic-inf", "ic-text", "ic-text-nan"])
+            "ic-strings", "ic-inf", "ic-text", "ic-text-nan", "method-name",
+            "sign-name", "mean-from-name", "format-name"])
     def test_malformed_value_is_usage_error(self, capsys, trace_dir,
                                             command, doc):
         tmp_path, files = trace_dir
@@ -512,6 +517,30 @@ class TestConfigFile:
         assert code == 2
         (key,) = doc
         assert stderr.startswith(f"error: config {cfg}: {key} ")
+
+    def test_bad_format_name_refused_before_any_trace_is_read(self, capsys,
+                                                              tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "parquet"}))
+        code, _, stderr = run_cli(
+            capsys, "compare", "--config", str(cfg),
+            "--measured", str(tmp_path / "nope.csv"),
+            "--candidate", f"a={tmp_path / 'nope.csv'}",
+            "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert stderr == (f"error: config {cfg}: format must be csv, spice, "
+                          "or auto; got 'parquet'\n")
+
+    def test_choice_names_keep_their_any_case_reading(self, capsys, tmp_path):
+        # A config file's names are checked by the enums' parse, which the
+        # run used before: any case, surrounding spaces stripped.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": " RK4", "sign": "Minus",
+                                   "t_end": 1.0, "output_points": 11}))
+        code, stdout, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert "(rk4, step 0.001)" in stdout
 
     def test_invalid_json_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
+from jerklab import ingest
 from jerklab import (
     DataError,
     InsufficientDataError,
@@ -252,6 +255,62 @@ class TestRoundTrip:
         assert write_series_csv(s) == write_series_csv(s)
 
 
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Makes the checked scan raise, so a parse that succeeds took the gated
+    read."""
+    def refuse(*args):
+        raise AssertionError("the checked scan ran")
+    monkeypatch.setattr(ingest, "_scan", refuse)
+
+
+class TestGatedRead:
+    def test_cells_are_bit_equal_to_float(self, no_scan):
+        # 20,000 random doubles of magnitude about 1e-300 to 1e300, each
+        # spelled four ways, against float() on the same text.
+        rng = random.Random(20261019)
+        values = [math.copysign(math.ldexp(rng.random(), rng.randint(-996, 997)),
+                                rng.random() - 0.5) for _ in range(20_000)]
+        for spell in (repr, "%.17g".__mod__, "%.3e".__mod__, "%.25g".__mod__):
+            cells = [spell(v) for v in values]
+            data = "t,v\n" + "".join(f"{k},{c}\n" for k, c in enumerate(cells))
+            s = parse_trace(data.encode("utf-8"), "csv")
+            assert s.v.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+    def test_written_files_take_the_gated_read(self, no_scan, rng):
+        t = [k * 0.02 + rng.uniform(-5e-3, 5e-3) for k in range(500)]
+        v = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-20, 20) for _ in t]
+        written = write_series_csv(mk_ts(t, v))
+        # The layouts of the benchmark's inputs: a capture spelled by repr()
+        # under a "time,xdd" header, and a written trace turned into a
+        # SPICE-style export by replacing its commas with tabs; each also
+        # with CRLF line ends.
+        capture = "time,xdd\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, v))
+        export = b"time\tV(xdd)\n" + written.split(b"\n", 1)[1].replace(b",", b"\t")
+        for data, signal in ((written, "v"), (capture.encode("utf-8"), "xdd"),
+                             (export, "V(xdd)")):
+            for eol in (b"\n", b"\r\n"):
+                s = parse_trace(data.replace(b"\n", eol))
+                assert s.t.tobytes() == np.array(t).tobytes()
+                assert s.v.tobytes() == np.array(v).tobytes()
+                assert s.meta.signal == signal
+
+    @pytest.mark.parametrize("data", [b"t,v\n", b"t,v", b"t,v\n\n\n",
+                                      b"time\tV(x)\n", b"t,v\n0,1\n"])
+    def test_no_warning_escapes(self, data):
+        # numpy warns of an empty read; the warning sends the file to the
+        # scan and is neither raised nor shown.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError):
+                parse_trace(data)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with pytest.raises(InsufficientDataError):
+                parse_trace(data)
+        assert shown == []
+
+
 class TestSniffAndLoad:
     def test_sniff(self):
         # Each text reads differently as csv and as spice, so the outcome
@@ -363,10 +422,13 @@ LAYOUTS = (
 def _fuzz_text(rng: random.Random, delimiter: str, headers) -> str:
     """A short trace text in one reader's layout; each kind of fault hits a
     row with a per-text probability, so some texts are clean and some have
-    several faults."""
+    several faults. Half the texts are in the layout the gated read takes:
+    LF line ends, no padding and no blank line before the header."""
     header, time_col, value_col, width = rng.choice(headers)
     rate = rng.choice((0.0, 0.03, 0.1, 0.3))
-    lines = [rng.choice(BLANKS) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    gated = rng.random() < 0.5
+    blanks = 0 if gated else rng.choice((0, 0, 0, 1, 2))
+    lines = [rng.choice(BLANKS) for _ in range(blanks)]
     if header is not None:
         lines.append(header)
     t = rng.uniform(-5.0, 5.0)
@@ -384,9 +446,44 @@ def _fuzz_text(rng: random.Random, delimiter: str, headers) -> str:
             cells = cells[:rng.randint(0, width - 1)]
         elif rng.random() < rate:
             cells.append("9")
-        pad = rng.choice(("", "", " ", "\t"))
+        pad = "" if gated else rng.choice(("", "", " ", "\t"))
         lines.append(pad + delimiter.join(cells) + pad)
+    if gated:
+        return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
     return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n\r\n"))
+
+
+# Texts on the edges of the gate: every byte after the header is one the
+# gated read takes, but the rows are not all a clean series.
+GATE_EDGES = (
+    "t,v\n0,1\n1,,2\n",  # an empty cell
+    "t,v\n1\n3,4\n",  # a row of one cell
+    "t,v\n0,1,5\n1,2\n2,3,4,5\n",  # ragged rows, each wide enough
+    "t,v\n0,1\n2\n",  # a ragged row too short
+    "t,v\n0,1,\n1,2,\n",  # a trailing delimiter
+    "time\tV(x)\n0\t1\t\n1\t2\t\n",
+    "t,v\n0,1\n1,2",  # no final newline
+    "time\tV(x)\n0\t1\n1\t2",
+    "t,v\n0,1\ne5,2\n",  # cells that are only an exponent, or end in one
+    "t,v\n0,1\n1,1e\n",
+    "t,v\n0,1\n1e,2\n",
+    "t,v\n0,1\n1,1e999\n",  # read as inf, then refused
+    "t,v\n0,1\n1e999,2\n",
+    "t,v\n\n\n\n",  # a body of only newlines
+    "t,v\n0,1\n\n\n",
+    "t,v\n,2\n1,3\n",
+    "t,v\n0,1\n0,2\n",
+    "V(a)\tV(b)\ttime\n1\t2\t0\n3\t4\t1\n",  # time in column 2
+    "V(a)\tV(b)\ttime\n1\t2\t0\n3\t4\n",
+    "V(a)\tV(b)\ttime\n1\t2\t0\n3\t4\t\n",
+    "V(x)\tTime\n1\t0\n2\t1\n",
+    "t,v\r\n0,1\r\n1,2\r\n",  # CRLF; a lone CR ends a line for the scan only
+    "t,v\r\n0,1\r1,2\r\n",
+    "t,v\n0,1\r\r\n1,2\n",
+    "t,v\n\r\n0,1\n\r1,2\n",
+    "t,v\n0,1\n1,2\r",
+    "time\tV(x)\r\n0\t1\r\n1\t2\t\r\n",
+)
 
 
 def _outcome(read, text: str):
@@ -398,18 +495,25 @@ def _outcome(read, text: str):
 
 
 class TestReferenceReader:
-    """The one-pass reader against the former per-row reader (conftest)."""
+    """The two-path reader against the former per-row reader (conftest)."""
 
-    def test_matches_reference_on_generated_texts(self):
+    def test_matches_reference_on_generated_texts(self, monkeypatch):
+        scans = []
+        scan = ingest._scan
+        monkeypatch.setattr(ingest, "_scan",
+                            lambda *args: scans.append(1) or scan(*args))
         rng = random.Random(20261018)
-        kinds = {}
-        for _ in range(10_000):
-            text = _fuzz_text(rng, *rng.choice(LAYOUTS))
+        texts = [_fuzz_text(rng, *rng.choice(LAYOUTS)) for _ in range(10_000)]
+        kinds, gated = {}, 0
+        for text in texts + list(GATE_EDGES):
             for name, (read, reference) in READERS.items():
                 want = _outcome(reference, text)
-                assert _outcome(read, text) == want, (name, text)
-                kind = want[1].split(": ")[1].split(" [")[0] \
-                    if isinstance(want[0], type) else "ok"
+                ok = not isinstance(want[0], type)
+                for data in (text, text.encode("utf-8")):
+                    before = len(scans)
+                    assert _outcome(read, data) == want, (name, data)
+                    gated += ok and len(scans) == before
+                kind = "ok" if ok else want[1].split(": ")[1].split(" [")[0]
                 kinds[kind] = kinds.get(kind, 0) + 1
         # Every outcome the readers can give was exercised many times.
         assert set(kinds) == {
@@ -422,3 +526,17 @@ class TestReferenceReader:
             "missing header line", "header has a time column but no value column",
         }, kinds
         assert min(kinds.values()) >= 50, kinds
+        # Many of the series came from the gated read, with no scan.
+        assert gated >= 1000, gated
+
+    def test_bad_utf8_after_a_bad_spice_header_is_reported_first(self):
+        # The body fails the gate, so the file is decoded in full before the
+        # header is checked: the UTF-8 error wins, as it did with one path.
+        for header in (b"volts\tamps", b"time\t"):
+            data = header + b"\n0\t1\n1\t\xff\n"
+            for fmt in ("spice", "auto"):
+                with pytest.raises(ParseError) as info:
+                    parse_trace(data, fmt)
+                at = data.index(b"\xff")
+                assert str(info.value) == f"line 3: not valid UTF-8 at byte {at}"
+                assert info.value.line == 3
