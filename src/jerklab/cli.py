@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
 from .errors import DataError, ValidationError
-from .ingest import FORMATS, _check_format, format_float, load_trace, write_series_csv
+from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
 
@@ -32,7 +32,7 @@ _HORIZON_THRESHOLD = 1.0
 #: The keys whose value names a choice, each with the check a run applies to
 #: the name; a config file's names go through it before any work starts.
 _NAME_CHECKS = {"sign": Sign.parse, "method": Method.parse,
-                "mean_from": MeanFrom.parse, "format": _check_format}
+                "mean_from": MeanFrom.parse}
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class RunConfig:
     n_windows: int = _COMPARISON["n_windows"].default
     threshold: float | None = None
     mean_from: str = _COMPARISON["mean_from"].default.name.lower()
-    format: str = inspect.signature(load_trace).parameters["fmt"].default
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -141,7 +140,7 @@ def _build_report(args: argparse.Namespace, cfg: RunConfig):
     that ``compare`` and ``horizon`` share."""
     def load(path, source_id):
         try:
-            return load_trace(path, fmt=cfg.format, source_id=source_id)
+            return load_trace(path, source_id=source_id)
         except OSError as exc:
             raise DataError(f"cannot open {path}: {exc}") from None
 
@@ -299,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
                         f"normalizing mean (default {d.mean_from})")
-    traces.add_argument("--format", choices=FORMATS,
-                        help=f"trace file format (default {d.format}: sniff each file)")
 
     sim = sub.add_parser("simulate", parents=[config],
                          help="integrate the system, write a trace CSV")

@@ -132,9 +132,9 @@ class IntegrationOverflowError(DataError):
     Divergence is reported, never clipped: a blow-up is a property of the
     trajectory and hiding it would defeat the point of comparing runs.
     ``last_valid_time`` is the latest time at which the state was still
-    finite. Inside a full simulation, ``partial`` holds the three channel
-    series (x, xd, xdd) with exactly the output-grid samples whose time is at
-    most ``last_valid_time``; after a single step it is ``None``.
+    finite. ``simulate`` sets ``partial`` on every such error it raises: the
+    three channel series (x, xd, xdd) with exactly the output-grid samples
+    whose time is at most ``last_valid_time``.
     """
 
     def __init__(

@@ -1,11 +1,12 @@
 """Parsers and writers for trace files.
 
-Two text formats are read, with LF or CRLF line endings: comma-separated
+Two text layouts are read, with LF or CRLF line endings: comma-separated
 ``time,value`` rows (the layout :func:`write_series_csv` writes) and
 tab-separated exports from SPICE-style circuit simulators, whose header names
 a ``time`` column. Blank lines are skipped but keep their physical numbering;
-the first non-blank line is always the header, and the ``auto`` format reads
-that same line. Rows are read on one of two paths:
+the first non-blank line is always the header, and a tab in it marks an
+export. One UTF-8 byte-order mark at the start of the file is dropped. Rows
+are read on one of two paths:
 
 * the gated read: when the header is line 1 and every byte after it is an
   ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
@@ -34,31 +35,24 @@ import numpy as np
 from .errors import InsufficientDataError, ParseError, ValidationError
 from .series import SeriesMeta, TimeSeries, UniformSeries
 
-#: The trace formats :func:`parse_trace` reads; ``auto`` picks one per file.
-FORMATS = ("auto", "csv", "spice")
-_DELIMITERS = {"csv": ",", "spice": "\t"}
 #: Beside the delimiter, the only bytes the gated read takes after the header.
 #: On them np.loadtxt and float() parse alike (both by PyOS_string_to_double),
 #: and no cell holds whitespace for the scan's stripping to remove. loadtxt
 #: ends a line at LF or CRLF, as str.splitlines does, and refuses a lone CR,
 #: which sends the file to the scan.
 _NUMERIC = b"0123456789.eE+-\r\n"
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValidationError(f"format must be csv, spice, or auto; got {fmt!r}")
+_BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
 
 
 def _lines(data: bytes | str) -> list[str]:
-    if isinstance(data, str):
-        return data.splitlines()
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # One more than the line breaks str.splitlines sees before the bad byte.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(line, f"not valid UTF-8 at byte {exc.start}") from None
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # One more than the line breaks str.splitlines sees before the bad byte.
+            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(line, f"not valid UTF-8 at byte {exc.start}") from None
+    return data.removeprefix(_BOM).splitlines()
 
 
 def _numbered(lines: list[str], start: int = 0):
@@ -69,43 +63,43 @@ def _numbered(lines: list[str], start: int = 0):
             yield number, line
 
 
-def _first_line(head: bytes) -> str:
-    """``head``, the bytes before the first LF, as the stripped header text
-    when they decode and form one non-blank line; else ``""``."""
+def _header(header: str, line: int, source_id: str):
+    """The delimiter, the (time, value) columns and the series meta that the
+    stripped header text on ``line`` gives."""
+    if "\t" not in header:
+        fields = header.split(",")
+        signal = fields[1].strip() if len(fields) > 1 else ""
+        return ",", (0, 1), SeriesMeta(source_id=source_id, signal=signal)
+    # The header is stripped, so a tab in it has a field on either side.
+    fields = [f.strip() for f in header.split("\t")]
+    time_col = next((i for i, f in enumerate(fields) if f.lower() == "time"), None)
+    if time_col is None:
+        raise ParseError(line, f"no 'time' column in header {fields!r}")
+    value_col = int(time_col == 0)  # the first non-time column
+    return "\t", (time_col, value_col), SeriesMeta(source_id=source_id,
+                                                    signal=fields[value_col])
+
+
+def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
+    """The series the gated read makes of ``raw``, or None when the file is
+    not in its layout or the read fails. Never raises."""
+    head, _, body = raw.partition(b"\n")
     try:
-        split = head.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        return ""
-    return split[0].strip() if len(split) == 1 else ""
-
-
-def _format(fmt: str, header: str) -> str:
-    """The format ``fmt`` stands for in a file with this header line."""
-    if fmt == "auto":
-        return "spice" if "\t" in header else "csv"
-    return fmt
-
-
-def _parse_rows(data: bytes | str, body: bytes, lines: list[str] | None,
-                start: int, cols: tuple[int, int], delimiter: str,
-                meta: SeriesMeta) -> TimeSeries:
-    """The rows after the header line ``start``, as a series.
-
-    ``lines`` is None when ``body``, the bytes after the header, passed the
-    gate: they are then read in one call. A read that fails, and every file
-    that did not pass, goes to the checked scan of ``lines``.
-    """
-    if lines is None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. "input contained no data"
-                cells = np.loadtxt(io.BytesIO(body), delimiter=delimiter,
-                                   usecols=cols, ndmin=2, comments=None,
-                                   dtype=np.float64)
-            return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
-        except (ValueError, Warning):  # ValidationError is a ValueError
-            lines = _lines(data)
-    return _scan(lines, start, cols, delimiter, meta)
+        header = head.decode("utf-8").removeprefix(_BOM).splitlines()
+        if len(header) != 1 or not header[0].strip():
+            return None
+        delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
+        if body.translate(None, _NUMERIC + delimiter.encode()):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            cells = np.loadtxt(io.BytesIO(body), delimiter=delimiter,
+                               usecols=cols, ndmin=2, comments=None,
+                               dtype=np.float64)
+        return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
+    # A UnicodeDecodeError and a ValidationError are ValueErrors.
+    except (ParseError, ValueError, Warning):
+        return None
 
 
 def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
@@ -141,46 +135,24 @@ def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
     return TimeSeries(t=times, v=values, meta=meta)
 
 
-def parse_trace(data: bytes | str, fmt: str = "auto",
-                source_id: str = "") -> TimeSeries:
+def parse_trace(data: bytes | str, *, source_id: str = "") -> TimeSeries:
     """Parse a trace text into a :class:`TimeSeries`.
 
-    The first non-blank line is the header. ``csv`` rows are comma-separated
-    with the time in column 0 and the value in column 1; header cell 1, when
-    present, names the signal. ``spice`` rows are tab-separated; the header
-    must label a column ``time`` (any case), and the first other column
-    supplies the values and the signal name. ``auto`` reads ``spice`` when
-    the header holds a tab and ``csv`` otherwise.
+    The first non-blank line is the header. When it holds a tab, the rows are
+    tab-separated, the header must label a column ``time`` (any case), and
+    the first other column supplies the values and the signal name.
+    Otherwise the rows are comma-separated with the time in column 0 and the
+    value in column 1, and header cell 1, when present, names the signal.
     """
-    _check_format(fmt)
     raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
-    head, _, body = raw.partition(b"\n")
-    start, header, lines = 1, _first_line(head), None
-    gate = _NUMERIC + _DELIMITERS[_format(fmt, header)].encode()
-    if not header or body.translate(None, gate):
-        # Not the gated read's layout: decode in full before any header check.
-        lines = _lines(data)
-        # Line 0 stands for a missing header: every line is blank.
-        start, header = next(_numbered(lines), (0, ""))
-    fmt = _format(fmt, header)
-    if fmt == "csv":
-        fields = header.split(",")
-        time_col, value_col = 0, 1
-        signal = fields[1].strip() if len(fields) > 1 else ""
-    else:
-        if not start:
-            raise ParseError(1, "missing header line")
-        fields = [f.strip() for f in header.split("\t")]
-        time_col = next((i for i, f in enumerate(fields) if f.lower() == "time"), None)
-        if time_col is None:
-            raise ParseError(start, f"no 'time' column in header {fields!r}")
-        if len(fields) < 2:
-            raise ParseError(start, "header has a time column but no value column")
-        value_col = int(time_col == 0)  # the first non-time column
-        signal = fields[value_col]
-    meta = SeriesMeta(source_id=source_id, signal=signal)
-    return _parse_rows(data, body, lines, start, (time_col, value_col),
-                       _DELIMITERS[fmt], meta)
+    series = _gated(raw, source_id)
+    if series is not None:
+        return series
+    lines = _lines(data)
+    # Line 0 stands for a missing header: every line is blank.
+    start, header = next(_numbered(lines), (0, ""))
+    delimiter, cols, meta = _header(header, start, source_id)
+    return _scan(lines, start, cols, delimiter, meta)
 
 
 def format_float(value: float) -> str:
@@ -211,7 +183,7 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_trace(path: str | PathLike, fmt: str = "auto",
+def load_trace(path: str | PathLike, *,
                source_id: str | None = None) -> TimeSeries:
     """Read a trace file and parse it as :func:`parse_trace` does.
 
@@ -219,4 +191,5 @@ def load_trace(path: str | PathLike, fmt: str = "auto",
     failures propagate as :class:`OSError`.
     """
     p = Path(path)
-    return parse_trace(p.read_bytes(), fmt, p.stem if source_id is None else source_id)
+    return parse_trace(p.read_bytes(),
+                       source_id=p.stem if source_id is None else source_id)

@@ -336,7 +336,7 @@ def criterion_8():
         v = [rnd.gauss(0.0, 1.0) * 10.0 ** rnd.uniform(-15, 15)
              for _ in range(n)]
         original = TimeSeries(t=t, v=v, meta=SeriesMeta())
-        recovered = parse_trace(write_series_csv(original), "csv")
+        recovered = parse_trace(write_series_csv(original))
         if any(x.hex() != y.hex() for x, y in zip(recovered.t, original.t)) \
                 or any(x.hex() != y.hex()
                        for x, y in zip(recovered.v, original.v)):
@@ -344,7 +344,7 @@ def criterion_8():
 
     rows = ["time\tV(xdd)"]
     rows += [f"{k * 1e-3:.9e}\t{math.sin(0.37 * k):.9e}" for k in range(4700)]
-    trace = parse_trace("\n".join(rows) + "\n", "spice")
+    trace = parse_trace("\n".join(rows) + "\n")
     if len(trace) != 4700:
         _fail(8, label, f"bulk export parsed to {len(trace)} samples, not 4700")
 

@@ -80,6 +80,13 @@ class TestBuildCommonGrid:
             build_common_grid([a, b], 10)
         assert set(info.value.domains) == {"trace-0", "trace-1"}
 
+    def test_repeated_source_ids_get_indexed_labels(self):
+        a = mk_ts([0.0, 1.0], [0.0, 0.0], source_id="x")
+        b = mk_ts([2.0, 3.0], [0.0, 0.0], source_id="x")
+        with pytest.raises(NoOverlapError) as info:
+            build_common_grid([a, b], 10)
+        assert info.value.domains == {"x": (0.0, 1.0), "x#1": (2.0, 3.0)}
+
     def test_no_traces(self):
         with pytest.raises(ValidationError):
             build_common_grid([], 10)

@@ -8,14 +8,13 @@ stdout/stderr can be asserted directly; one subprocess test covers the
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 
 import pytest
 
 from jerklab import MeanFrom, Method, Sign, format_float, parse_trace
-from jerklab import cli, ingest
+from jerklab import cli
 from jerklab.cli import RunConfig, main
 
 from conftest import mk_ts, run_python
@@ -53,7 +52,7 @@ class TestSimulate:
             "--out", str(out))
         assert code == 0
         assert "wrote 101 samples" in stdout
-        trace = parse_trace(out.read_bytes(), "csv")
+        trace = parse_trace(out.read_bytes())
         assert len(trace) == 101
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(10.0, rel=1e-12)
@@ -172,7 +171,7 @@ class TestCompare:
         # A leading blank line before a tab-separated header: the sniffer
         # reads the same header line as the parser, so this is an export.
         tmp_path, files = trace_dir
-        measured = parse_trace((tmp_path / "measured.csv").read_bytes(), "csv")
+        measured = parse_trace((tmp_path / "measured.csv").read_bytes())
         export = tmp_path / "measured.txt"
         export.write_text("\ntime\tV(xdd)\n" + "".join(
             f"{t!r}\t{v!r}\n" for t, v in zip(measured.t.tolist(), measured.v.tolist())))
@@ -180,7 +179,7 @@ class TestCompare:
             capsys, "compare", "--measured", str(export),
             "--candidate", f"close={files['close']}",
             "--candidate", f"rough={files['rough']}",
-            "--grid-points", "101", "--windows", "5", "--format", "auto",
+            "--grid-points", "101", "--windows", "5",
             "--report", str(tmp_path / "report.json"))
         assert (code, err) == (0, "")
         assert "reference: close" in stdout
@@ -438,8 +437,36 @@ class TestSharedPipeline:
             "--grid-points", "101", "--report", str(rp))
         assert code == 0
         assert json.loads(rp.read_text())["threshold"] == 0.01
-        # Under the default threshold of 1.0 this horizon would be 1.9.
+        # Under the default threshold of 1.0 this horizon is
+        # 1.9000000000000001 (test_horizon_default_threshold_is_compare_at_one).
         assert "rough: horizon=0 (exceeded)" in stdout
+
+
+    def test_horizon_default_threshold_is_compare_at_one(self, capsys, trace_dir):
+        # No flag and no config threshold, or a config null: horizon scores
+        # at 1.0, and its report is the one compare writes at --threshold 1.
+        tmp_path, files = trace_dir
+        shared = ["--measured", files["measured"],
+                  "--candidate", f"rough={files['rough']}", "--grid-points", "101"]
+        want = tmp_path / "compare.json"
+        assert run_cli(capsys, "compare", *shared, "--threshold", "1",
+                       "--report", str(want))[0] == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": None}))
+        for config in ([], ["--config", str(cfg)]):
+            rp = tmp_path / "horizon.json"
+            code, stdout, _ = run_cli(capsys, "horizon", *config, *shared,
+                                      "--report", str(rp))
+            assert code == 0
+            assert "rough: horizon=1.9000000000000001 (exceeded)" in stdout
+            assert rp.read_bytes() == want.read_bytes()
+        # compare takes the null as no threshold: no horizons are reported.
+        code, _, _ = run_cli(capsys, "compare", "--config", str(cfg), *shared,
+                             "--report", str(want))
+        assert code == 0
+        doc = json.loads(want.read_text())
+        assert doc["threshold"] is None
+        assert "horizon_time" not in doc["candidates"][0]
 
 
 class TestConfigFile:
@@ -497,11 +524,10 @@ class TestConfigFile:
         ("simulate", {"method": "bogus"}),
         ("simulate", {"sign": "minuss"}),
         ("compare", {"mean_from": "median"}),
-        ("compare", {"format": "parquet"}),
     ], ids=["a-string", "points-nan", "grid-points-nan", "step-null",
             "sign-number", "t-end-huge-int", "ic-huge-int", "ic-bool",
             "ic-strings", "ic-inf", "ic-text", "ic-text-nan", "method-name",
-            "sign-name", "mean-from-name", "format-name"])
+            "sign-name", "mean-from-name"])
     def test_malformed_value_is_usage_error(self, capsys, trace_dir,
                                             command, doc):
         tmp_path, files = trace_dir
@@ -520,16 +546,26 @@ class TestConfigFile:
 
     def test_bad_format_name_refused_before_any_trace_is_read(self, capsys,
                                                               tmp_path):
+        # The header line picks each file's layout, so a file may not name
+        # a format at all, not even the one every file is read by.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "parquet"}))
-        code, _, stderr = run_cli(
-            capsys, "compare", "--config", str(cfg),
-            "--measured", str(tmp_path / "nope.csv"),
-            "--candidate", f"a={tmp_path / 'nope.csv'}",
-            "--report", str(tmp_path / "r.json"))
-        assert code == 2
-        assert stderr == (f"error: config {cfg}: format must be csv, spice, "
-                          "or auto; got 'parquet'\n")
+        for name in ("parquet", "auto"):
+            cfg.write_text(json.dumps({"format": name}))
+            code, _, stderr = run_cli(
+                capsys, "compare", "--config", str(cfg),
+                "--measured", str(tmp_path / "nope.csv"),
+                "--candidate", f"a={tmp_path / 'nope.csv'}",
+                "--report", str(tmp_path / "r.json"))
+            assert code == 2
+            assert stderr == f"error: config {cfg} has unknown keys: format\n"
+
+    def test_format_flag_refused(self, capsys, trace_dir):
+        _, files = trace_dir
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--measured", files["measured"],
+                  "--candidate", f"close={files['close']}", "--format", "auto"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format auto" in capsys.readouterr().err
 
     def test_choice_names_keep_their_any_case_reading(self, capsys, tmp_path):
         # A config file's names are checked by the enums' parse, which the
@@ -550,6 +586,15 @@ class TestConfigFile:
             "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "JSON" in stderr
+
+    def test_non_object_json_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--config", str(cfg),
+            "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert stderr == f"error: config {cfg} must hold a JSON object\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, stderr = run_cli(
@@ -594,7 +639,7 @@ def _options(command):
 
 class TestHelpDefaults:
     _TRACE_FLAGS = {"--windows": "n_windows", "--grid-points": "grid_points",
-                    "--nrmse-mean": "mean_from", "--format": "format"}
+                    "--nrmse-mean": "mean_from"}
     FLAGS = {
         "simulate": {"--a": "a", "--sign": "sign", "--ic": "ic",
                      "--method": "method", "--h": "step", "--t-end": "t_end",
@@ -634,8 +679,3 @@ class TestHelpDefaults:
         choices = _options(command)[flag].choices
         assert set(choices) == {m.name.lower() for m in enum_cls}
         assert {enum_cls.parse(c) for c in choices} == set(enum_cls)
-
-    def test_format_choices_and_default_come_from_ingest(self):
-        assert tuple(_options("compare")["--format"].choices) == ingest.FORMATS
-        assert RunConfig().format == "auto"
-        assert inspect.signature(ingest.load_trace).parameters["fmt"].default == "auto"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import random
 
@@ -19,6 +20,7 @@ from jerklab import (
     ValidationError,
     in_chaotic_range,
 )
+from jerklab.cli import RunConfig
 from jerklab.core import _rhs
 
 MINUS, PLUS = Sign.MINUS.value, Sign.PLUS.value
@@ -172,3 +174,12 @@ def test_public_surface_resolves_without_the_removed_wrappers():
         assert not hasattr(jerklab, name)
     for name in jerklab.__all__:
         assert hasattr(jerklab, name), name
+    # The header line alone picks a trace's layout: no format setting is left.
+    for name in ("FORMATS", "_check_format", "_DELIMITERS", "_format",
+                 "_parse_rows"):
+        assert not hasattr(jerklab.ingest, name), name
+    for reader in (jerklab.parse_trace, jerklab.load_trace):
+        params = inspect.signature(reader).parameters
+        assert "fmt" not in params
+        assert params["source_id"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert "format" not in {f.name for f in dataclasses.fields(RunConfig)}

@@ -42,63 +42,63 @@ def make_spice_text(rows: int, dt: float = 1e-3) -> str:
 
 class TestCsvParsing:
     def test_basic_with_header(self):
-        s = parse_trace("t,v\n0,0.5\n1,-0.25\n", "csv", source_id="demo")
+        s = parse_trace("t,v\n0,0.5\n1,-0.25\n", source_id="demo")
         assert s.t.tolist() == [0.0, 1.0]
         assert s.v.tolist() == [0.5, -0.25]
         assert s.meta.source_id == "demo"
         assert s.meta.signal == "v"
 
     def test_scientific_notation(self):
-        s = parse_trace("t,v\n0,1e-3\n1e-3,2.5E+0\n", "csv")
+        s = parse_trace("t,v\n0,1e-3\n1e-3,2.5E+0\n")
         assert s.t.tolist() == [0.0, 1e-3]
         assert s.v.tolist() == [1e-3, 2.5]
         # The grammar is float()'s: underscores, non-ASCII digits, padding.
-        s = parse_trace("t,v\n0, 1_0 \n\u0661\u0662,\t2\n", "csv")
+        s = parse_trace("t,v\n0, 1_0 \n\u0661\u0662,\t2\n")
         assert s.t.tolist() == [0.0, 12.0]
         assert s.v.tolist() == [10.0, 2.0]
 
     def test_repeated_timestamp_cites_line(self):
         with pytest.raises(ParseError, match="strictly increasing") as info:
-            parse_trace("t,v\n0,1\n0,2\n", "csv")
+            parse_trace("t,v\n0,1\n0,2\n")
         assert info.value.line == 3
         assert "line 3" in str(info.value)
         # An earlier fault wins over a later row that does not parse.
         with pytest.raises(ParseError, match="strictly increasing") as info:
-            parse_trace("t,v\n0,1\n0,2\n1,oops\n", "csv")
+            parse_trace("t,v\n0,1\n0,2\n1,oops\n")
         assert info.value.line == 3
 
     def test_decreasing_timestamp_cites_line(self):
         with pytest.raises(ParseError) as info:
-            parse_trace("t,v\n0,1\n1,2\n0.5,3\n", "csv")
+            parse_trace("t,v\n0,1\n1,2\n0.5,3\n")
         assert info.value.line == 4
 
     def test_non_numeric_cites_line(self):
         with pytest.raises(ParseError, match="not a number") as info:
-            parse_trace("t,v\n0,1\n1,oops\n", "csv")
+            parse_trace("t,v\n0,1\n1,oops\n")
         assert info.value.line == 3
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParseError, match="non-finite") as info:
-            parse_trace("t,v\n0,nan\n1,2\n", "csv")
+            parse_trace("t,v\n0,nan\n1,2\n")
         assert info.value.line == 2
         with pytest.raises(ParseError, match="non-finite"):
-            parse_trace("t,v\n0,1\n1,inf\n", "csv")
+            parse_trace("t,v\n0,1\n1,inf\n")
         with pytest.raises(ParseError) as info:
-            parse_trace("t,v\n0,1\n1,Infinity\n", "csv")
+            parse_trace("t,v\n0,1\n1,Infinity\n")
         assert str(info.value) == "line 3: non-finite value: 'Infinity'"
         # The time cell is checked before the value cell of the same row.
         with pytest.raises(ParseError) as info:
-            parse_trace("t,v\n0,1\ninf,oops\n", "csv")
+            parse_trace("t,v\n0,1\ninf,oops\n")
         assert str(info.value) == "line 3: non-finite value: 'inf'"
 
     def test_too_few_fields_cites_line(self):
         with pytest.raises(ParseError, match="fields") as info:
-            parse_trace("t,v\n0,1\n2\n", "csv")
+            parse_trace("t,v\n0,1\n2\n")
         assert info.value.line == 3
 
     def test_single_row_is_insufficient(self):
         with pytest.raises(InsufficientDataError) as info:
-            parse_trace("t,v\n0,1\n", "csv")
+            parse_trace("t,v\n0,1\n")
         assert info.value.rows == 1
         assert info.value.line == 2
 
@@ -106,26 +106,26 @@ class TestCsvParsing:
         # Empty, blank-only and header-only texts all cite line 1.
         for text in ["", "t,v\n", "\n\nt,v\n\n", "\n \n"]:
             with pytest.raises(InsufficientDataError) as info:
-                parse_trace(text, "csv")
+                parse_trace(text)
             assert (info.value.line, info.value.rows) == (1, 0), text
 
     def test_blank_lines_skipped_but_numbering_physical(self):
         # Interior and trailing blanks don't break parsing, and the line
         # numbers in diagnostics still count physical lines.
-        s = parse_trace("t,v\n0,1\n\n1,2\n\n\n", "csv")
+        s = parse_trace("t,v\n0,1\n\n1,2\n\n\n")
         assert s.t.tolist() == [0.0, 1.0]
         with pytest.raises(ParseError) as info:
-            parse_trace("t,v\n0,1\n\n0,2\n", "csv")
+            parse_trace("t,v\n0,1\n\n0,2\n")
         assert info.value.line == 4
 
     def test_crlf_accepted(self):
-        s = parse_trace(b"t,v\r\n0,1\r\n1,2\r\n", "csv")
+        s = parse_trace(b"t,v\r\n0,1\r\n1,2\r\n")
         assert s.t.tolist() == [0.0, 1.0]
         assert s.v.tolist() == [1.0, 2.0]
 
     def test_bad_utf8_cites_line(self):
         with pytest.raises(ParseError, match="UTF-8") as info:
-            parse_trace(b"t,v\n0,1\n1,\xff\n", "csv")
+            parse_trace(b"t,v\n0,1\n1,\xff\n")
         assert info.value.line == 3
 
     @pytest.mark.parametrize("eol", ["\r", "\r\n", "\x0b", "\x0c", "\x85",
@@ -137,72 +137,70 @@ class TestCsvParsing:
         nl = eol.encode("utf-8")
         head = b"t,v" + nl + b"0,1" + nl
         with pytest.raises(ParseError, match="UTF-8") as info:
-            parse_trace(head + row + nl, "csv")
+            parse_trace(head + row + nl)
         assert info.value.line == 3
         with pytest.raises(ParseError, match="not a number") as info:
-            parse_trace(head + row.replace(b"\xff", b"oops") + nl, "csv")
+            parse_trace(head + row.replace(b"\xff", b"oops") + nl)
         assert info.value.line == 3
 
     def test_locale_independent_decimal_point(self):
         # Comma is the field delimiter, period the only decimal separator:
         # "1,5" is two fields, never the number 1.5.
-        s = parse_trace("t,v\n0,0.5\n1.5,2.25\n", "csv")
+        s = parse_trace("t,v\n0,0.5\n1.5,2.25\n")
         assert s.t.tolist() == [0.0, 1.5]
         assert s.v.tolist() == [0.5, 2.25]
 
 
 class TestSpiceParsing:
     def test_basic(self):
-        s = parse_trace("time\tV(xdd)\n0.0\t1.0e-2\n1.0e-3\t2.0e-2\n", "spice")
+        s = parse_trace("time\tV(xdd)\n0.0\t1.0e-2\n1.0e-3\t2.0e-2\n")
         assert s.t.tolist() == [0.0, 1e-3]
         assert s.v.tolist() == [0.01, 0.02]
         assert s.meta.signal == "V(xdd)"
 
     def test_case_insensitive_time_header(self):
-        s = parse_trace("Time\tV(x)\n0\t1\n1\t2\n", "spice")
+        s = parse_trace("Time\tV(x)\n0\t1\n1\t2\n")
         assert s.t.tolist() == [0.0, 1.0]
 
     def test_value_column_before_time_column(self):
-        s = parse_trace("V(x)\ttime\n5\t0\n6\t1\n", "spice")
+        s = parse_trace("V(x)\ttime\n5\t0\n6\t1\n")
         assert s.t.tolist() == [0.0, 1.0]
         assert s.v.tolist() == [5.0, 6.0]
         assert s.meta.signal == "V(x)"
 
     def test_large_export(self):
-        s = parse_trace(make_spice_text(4700), "spice")
+        s = parse_trace(make_spice_text(4700))
         assert len(s) == 4700
         assert s.t[0] == 0.0
         assert s.t[-1] == pytest.approx(4.699, rel=1e-12)
 
     def test_missing_time_header(self):
         with pytest.raises(ParseError, match="time") as info:
-            parse_trace("volts\tamps\n0\t1\n1\t2\n", "spice")
+            parse_trace("volts\tamps\n0\t1\n1\t2\n")
         assert info.value.line == 1
 
     def test_header_only_time(self):
-        with pytest.raises(ParseError, match="value column"):
-            parse_trace("time\n0\n1\n", "spice")
-
-    def test_empty_input(self):
-        with pytest.raises(ParseError, match="header"):
-            parse_trace("", "spice")
+        # A header without a tab is a csv header, whatever it names.
+        with pytest.raises(ParseError) as info:
+            parse_trace("time\n0\n1\n")
+        assert str(info.value) == "line 2: expected at least 2 fields, found 1"
 
     def test_body_too_short(self):
         with pytest.raises(InsufficientDataError):
-            parse_trace("time\tV(x)\n0\t1\n", "spice")
+            parse_trace("time\tV(x)\n0\t1\n")
 
     def test_row_too_short_for_a_late_time_column(self):
         with pytest.raises(ParseError) as info:
-            parse_trace("V(a)\tV(b)\ttime\n0\t1\t0\n1\t2\n", "spice")
+            parse_trace("V(a)\tV(b)\ttime\n0\t1\t0\n1\t2\n")
         assert str(info.value) == "line 3: expected at least 3 fields, found 2"
 
     def test_trailing_blank_lines(self):
-        s = parse_trace("time\tV(x)\n0\t1\n1\t2\n\n\n", "spice")
+        s = parse_trace("time\tV(x)\n0\t1\n1\t2\n\n\n")
         assert len(s) == 2
 
     def test_malformed_row_cites_line(self):
         with pytest.raises(ParseError) as info:
-            parse_trace("time\tV(x)\n0\t1\n1\tbroken\n", "spice")
+            parse_trace("time\tV(x)\n0\t1\n1\tbroken\n")
         assert info.value.line == 3
 
 
@@ -243,7 +241,7 @@ class TestRoundTrip:
             v = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-20, 20)
                  for _ in range(n)]
             original = mk_ts(t, v)
-            recovered = parse_trace(write_series_csv(original), "csv")
+            recovered = parse_trace(write_series_csv(original))
             assert len(recovered) == len(original)
             for a, b in zip(recovered.t, original.t):
                 assert a.hex() == b.hex()
@@ -274,7 +272,7 @@ class TestGatedRead:
         for spell in (repr, "%.17g".__mod__, "%.3e".__mod__, "%.25g".__mod__):
             cells = [spell(v) for v in values]
             data = "t,v\n" + "".join(f"{k},{c}\n" for k, c in enumerate(cells))
-            s = parse_trace(data.encode("utf-8"), "csv")
+            s = parse_trace(data.encode("utf-8"))
             assert s.v.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
     def test_written_files_take_the_gated_read(self, no_scan, rng):
@@ -313,21 +311,21 @@ class TestGatedRead:
 
 class TestSniffAndLoad:
     def test_sniff(self):
-        # Each text reads differently as csv and as spice, so the outcome
-        # shows which format auto picked.
-        for text, fmt, other in [
-            ("time\tV(x)\n0\t1\n1\t2\n", "spice", "csv"),
-            ("t,v\n0,1\n1,2\n", "csv", "spice"),
-            ("", "csv", "spice"),
-            # auto reads the header the formats read: the first non-blank
-            # line, stripped.
-            ("\ntime\tV(x)\n0\t1\n1\t2\n", "spice", "csv"),
-            (" \t \nt,v\n0\t1\n", "csv", "spice"),
-            ("\r\n\t\r\n", "csv", "spice"),
+        # Each text reads differently by the two reference readers, so the
+        # outcome shows which layout the header line picked.
+        csv, spice = reference_trace_csv, reference_spice_export
+        for text, layout, other in [
+            ("time\tV(x)\n0\t1\n1\t2\n", spice, csv),
+            ("t,v\n0,1\n1,2\n", csv, spice),
+            ("", csv, spice),
+            # The header is the first non-blank line, stripped.
+            ("\ntime\tV(x)\n0\t1\n1\t2\n", spice, csv),
+            (" \t \nt,v\n0\t1\n", csv, spice),
+            ("\r\n\t\r\n", csv, spice),
         ]:
             got = _outcome(parse_trace, text)
-            assert got == _outcome(lambda s: parse_trace(s, fmt), text), text
-            assert got != _outcome(lambda s: parse_trace(s, other), text), text
+            assert got == _outcome(layout, text), text
+            assert got != _outcome(other, text), text
 
     @pytest.mark.parametrize("text,signal", [
         ("\ntime\tV(x)\n0\t1\n1\t2\n", "V(x)"),
@@ -355,35 +353,55 @@ class TestSniffAndLoad:
         assert len(s) == 10
         assert s.meta.signal == "V(xdd)"
 
-    def test_load_format_override(self, tmp_path):
-        # The header's tab would make auto read the file as spice.
-        p = tmp_path / "data.txt"
-        p.write_bytes(b"t\tx,v\n0,1\n1,2\n")
-        with pytest.raises(ParseError, match="no 'time' column"):
-            load_trace(p)
-        s = load_trace(p, fmt="csv")
-        assert s.t.tolist() == [0.0, 1.0]
-        assert s.meta.signal == "v"
-
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_trace(tmp_path / "nope.csv")
 
-    def test_load_bad_format_name(self, tmp_path):
+    def test_format_is_not_an_argument(self, tmp_path):
+        # The header line alone picks the layout; a second positional
+        # argument is refused rather than taken as the source id.
         p = tmp_path / "x.csv"
         p.write_bytes(b"t,v\n0,1\n1,2\n")
-        with pytest.raises(ValidationError):
-            load_trace(p, fmt="parquet")
-        # The name is refused whatever the file holds.
-        p.write_bytes(b"t,v\n0,1\n1,\xff\n")
-        with pytest.raises(ValidationError):
-            load_trace(p, fmt="parquet")
+        for call in (lambda: parse_trace("t,v\n0,1\n1,2\n", "csv"),
+                     lambda: parse_trace("t,v\n0,1\n1,2\n", fmt="csv"),
+                     lambda: load_trace(p, "csv"),
+                     lambda: load_trace(p, fmt="auto")):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("text", [
+        "time\tV(x)\n0\t1\n1\t2\n",  # the gated read's layout
+        "time\tV(x)\r\n 0\t1\n\n1\t2\n",  # the checked scan's
+        "\ntime\tV(x)\n0\t1\n1\t2\n",  # the mark alone on line 1
+    ], ids=["gated", "scan", "blank-line-1"])
+    def test_byte_order_mark_is_dropped(self, text):
+        bom = "\ufeff" + text
+        for data in (bom, bom.encode("utf-8")):
+            s = parse_trace(data)
+            assert s.meta.signal == "V(x)"
+            assert _outcome(parse_trace, data) == _outcome(parse_trace, text)
+        # A csv header only names the signal, and reads as it did with the mark.
+        csv = b"\xef\xbb\xbft,v\n0,1\n1,2\n"
+        assert parse_trace(csv).meta.signal == "v"
+        assert parse_trace(csv).v.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("data,line", [
+        (b"\xef\xbb\xbftime\tV(x)\n0\t1\n1\t\xff\n", 3),
+        (b"\xef\xbb\xbft,v\r0,1\r1,\xff\r", 3),
+        (b"\xef\xbb\xbf\xff,v\n0,1\n1,2\n", 1),
+    ])
+    def test_bad_utf8_after_a_byte_order_mark_counts_from_the_first_byte(
+            self, data, line):
+        with pytest.raises(ParseError) as info:
+            parse_trace(data)
+        at = data.index(b"\xff")
+        assert str(info.value) == f"line {line}: not valid UTF-8 at byte {at}"
 
     def test_parse_errors_are_data_errors(self):
         # The whole parse-failure family maps to the data-problem branch of
         # the hierarchy (CLI exit status 1), not the bad-request branch.
         with pytest.raises(DataError):
-            parse_trace("t,v\n0,1\nbad\n", "csv")
+            parse_trace("t,v\n0,1\nbad\n")
 
 
 # Cells that are not plain increasing numbers: blanks, non-numbers,
@@ -395,18 +413,12 @@ BLANKS = ("", " ", "\t", " \t ")
 
 
 def _reference_auto(text: str):
-    """The reference reader auto stands for: spice when the first non-blank
-    line, stripped, holds a tab."""
+    """The reference reader the header line picks: spice when the first
+    non-blank line, stripped, holds a tab."""
     header = next((line.strip() for line in text.splitlines() if line.strip()), "")
     return (reference_spice_export if "\t" in header else reference_trace_csv)(text)
 
 
-# name: (reader, reference reader)
-READERS = {
-    "csv": (lambda s: parse_trace(s, "csv"), reference_trace_csv),
-    "spice": (lambda s: parse_trace(s, "spice"), reference_spice_export),
-    "auto": (parse_trace, _reference_auto),
-}
 # The layouts texts are generated in: (delimiter, headers as (text, time
 # column, value column, width)); no header for None.
 LAYOUTS = (
@@ -506,15 +518,14 @@ class TestReferenceReader:
         texts = [_fuzz_text(rng, *rng.choice(LAYOUTS)) for _ in range(10_000)]
         kinds, gated = {}, 0
         for text in texts + list(GATE_EDGES):
-            for name, (read, reference) in READERS.items():
-                want = _outcome(reference, text)
-                ok = not isinstance(want[0], type)
-                for data in (text, text.encode("utf-8")):
-                    before = len(scans)
-                    assert _outcome(read, data) == want, (name, data)
-                    gated += ok and len(scans) == before
-                kind = "ok" if ok else want[1].split(": ")[1].split(" [")[0]
-                kinds[kind] = kinds.get(kind, 0) + 1
+            want = _outcome(_reference_auto, text)
+            ok = not isinstance(want[0], type)
+            for data in (text, text.encode("utf-8")):
+                before = len(scans)
+                assert _outcome(parse_trace, data) == want, data
+                gated += ok and len(scans) == before
+            kind = "ok" if ok else want[1].split(": ")[1].split(" [")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
         # Every outcome the readers can give was exercised many times.
         assert set(kinds) == {
             "ok", "expected at least 2 fields, found 1",
@@ -523,7 +534,6 @@ class TestReferenceReader:
             "non-finite value", "time not strictly increasing",
             "need at least 2 data rows, found 0",
             "need at least 2 data rows, found 1", "no 'time' column in header",
-            "missing header line", "header has a time column but no value column",
         }, kinds
         assert min(kinds.values()) >= 50, kinds
         # Many of the series came from the gated read, with no scan.
@@ -532,11 +542,10 @@ class TestReferenceReader:
     def test_bad_utf8_after_a_bad_spice_header_is_reported_first(self):
         # The body fails the gate, so the file is decoded in full before the
         # header is checked: the UTF-8 error wins, as it did with one path.
-        for header in (b"volts\tamps", b"time\t"):
+        for header in (b"volts\tamps", b"V(a)\tV(b)\tamps"):
             data = header + b"\n0\t1\n1\t\xff\n"
-            for fmt in ("spice", "auto"):
-                with pytest.raises(ParseError) as info:
-                    parse_trace(data, fmt)
-                at = data.index(b"\xff")
-                assert str(info.value) == f"line 3: not valid UTF-8 at byte {at}"
-                assert info.value.line == 3
+            with pytest.raises(ParseError) as info:
+                parse_trace(data)
+            at = data.index(b"\xff")
+            assert str(info.value) == f"line 3: not valid UTF-8 at byte {at}"
+            assert info.value.line == 3

@@ -147,6 +147,10 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="initial_state"):
             IntegratorConfig(initial_state=(0.0, 0.0, 0.1))  # type: ignore[arg-type]
 
+    def test_rejects_method_name(self):
+        with pytest.raises(ValidationError, match="method must be a Method, got 'rk4'"):
+            IntegratorConfig(method="rk4")  # type: ignore[arg-type]
+
     def test_method_parse(self):
         assert Method.parse("rk4") is Method.RK4
         assert Method.parse(" EULER ") is Method.EULER
@@ -521,6 +525,18 @@ class TestGeneratorDrivers:
         assert x[2] > 0.0
         assert _outcome(simulate, config, JerkParams()) == _outcome(
             reference_simulate, config, JerkParams())
+
+    def test_grid_times_that_round_past_t_end_take_the_final_state(self):
+        # 3 * (7.7 / 3) rounds above 7.7, so the last grid time lies past the
+        # final step; it takes the state at t_end, as the two-point run does.
+        config = IntegratorConfig(method=Method.RK45, t_end=7.7, output_points=4)
+        assert 3 * (config.t_end / 3) > config.t_end
+        four = simulate(config)
+        two = simulate(IntegratorConfig(method=Method.RK45, t_end=7.7,
+                                        output_points=2))
+        for name in ("x", "xd", "xdd"):
+            last = getattr(four, name).values[-1], getattr(two, name).values[-1]
+            assert last[0].hex() == last[1].hex(), name
 
     def test_partial_is_the_grid_up_to_last_valid_time(self):
         rng = random.Random(7)

@@ -128,6 +128,14 @@ class TestNrmse:
         with pytest.raises(DegenerateDataError):
             nrmse(mk_uniform([2.0, 2.0, 2.0]), mk_uniform([2.0, 2.0, 2.0]))
 
+    def test_one_sample_rejected(self):
+        one = mk_uniform([1.0])
+        with pytest.raises(ValidationError, match="nrmse needs at least 2 samples"):
+            nrmse(one, one)
+        with pytest.raises(ValidationError,
+                           match="cumulative nrmse needs at least 2 samples"):
+            cumulative_nrmse(one, one, 1)
+
     def test_grid_mismatch_rejected(self):
         m = mk_uniform([0.0, 1.0, 2.0], t0=0.0, dt=1.0)
         with pytest.raises(ValidationError, match="length"):
