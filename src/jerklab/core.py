@@ -84,7 +84,9 @@ class JerkParams:
 
 
 def _rhs(x, xd, xdd, a, sf):
-    # The integrators' kernel, on bare floats; its operation order is fixed.
+    # The model's right-hand side on bare floats; its operation order is
+    # fixed. rk45 calls it; euler and rk4 write the jerk inline at each
+    # stage, and the tests pin each copy to this definition bit for bit.
     return xd, xdd, -(a * xdd) - x + sf * (xd * xd)
 
 

@@ -15,6 +15,9 @@ and the effective step never exceeds the requested one. One kernel call
 advances a whole interval, whose end state is checked once: each new component
 is ``s + (...)``, so a non-finite one never turns finite again. A failed
 interval is replayed one substep at a time to find its last finite substep.
+The Euler and RK4 kernels evaluate the jerk inline at each stage, in the
+operation order of :func:`~jerklab.core._rhs`, so a substep makes no call
+and builds no tuple.
 
 The adaptive method (Dormand–Prince 4(5), first same as last: six right-hand
 side evaluations per attempted step) uses the requested step as the initial
@@ -107,25 +110,37 @@ class SimulationResult:
 
 # ---------------------------------------------------------------------------
 # Step kernels: n substeps per call on bare floats, so the fixed-step loop pays
-# one call per output interval and no containers. Stage order is fixed;
-# changing it changes last-ulp results.
+# one call per output interval and no containers. Each stage writes out the
+# jerk of core._rhs, -(a * xdd) - x + sf * (xd * xd), in its operation order;
+# the derivatives of x and xd are the stage's xd and xdd themselves. The
+# tests pin both kernels to textbook steps built from core._rhs, bit for bit.
+# Stage order is fixed; changing it changes last-ulp results.
 
 def _euler(x, xd, xdd, h, a, sf, n):
     for _ in range(n):
-        p, q, r = _rhs(x, xd, xdd, a, sf)
-        x, xd, xdd = x + h * p, xd + h * q, xdd + h * r
+        x, xd, xdd = (x + h * xd, xd + h * xdd,
+                      xdd + h * (-(a * xdd) - x + sf * (xd * xd)))
     return x, xd, xdd
 
 
 def _rk4(x, xd, xdd, h, a, sf, n):
     hh = 0.5 * h  # x + 0.5*h*k parses as x + (0.5*h)*k
     for _ in range(n):
-        p1, q1, r1 = _rhs(x, xd, xdd, a, sf)
-        p2, q2, r2 = _rhs(x + hh * p1, xd + hh * q1, xdd + hh * r1, a, sf)
-        p3, q3, r3 = _rhs(x + hh * p2, xd + hh * q2, xdd + hh * r2, a, sf)
-        p4, q4, r4 = _rhs(x + h * p3, xd + h * q3, xdd + h * r3, a, sf)
-        x, xd, xdd = (x + h * (p1 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0,
-                      xd + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0,
+        r1 = -(a * xdd) - x + sf * (xd * xd)
+        x2 = x + hh * xd
+        xd2 = xd + hh * xdd
+        xdd2 = xdd + hh * r1
+        r2 = -(a * xdd2) - x2 + sf * (xd2 * xd2)
+        x3 = x + hh * xd2
+        xd3 = xd + hh * xdd2
+        xdd3 = xdd + hh * r2
+        r3 = -(a * xdd3) - x3 + sf * (xd3 * xd3)
+        x4 = x + h * xd3
+        xd4 = xd + h * xdd3
+        xdd4 = xdd + h * r3
+        r4 = -(a * xdd4) - x4 + sf * (xd4 * xd4)
+        x, xd, xdd = (x + h * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4) / 6.0,
+                      xd + h * (xdd + 2.0 * xdd2 + 2.0 * xdd3 + xdd4) / 6.0,
                       xdd + h * (r1 + 2.0 * r2 + 2.0 * r3 + r4) / 6.0)
     return x, xd, xdd
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -139,8 +140,16 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
                 window=window,
             )
         num = e_hi + e_lo
+        # One square root of the ratio rounds twice, not three times; where
+        # the ratio overflows or is subnormal, each sum takes its own root.
         # Identical prefixes score 0, even where their spread overflows.
-        score = math.sqrt(num) / math.sqrt(den) if num else 0.0
+        ratio = num / den
+        if not num:
+            score = 0.0
+        elif sys.float_info.min <= ratio < math.inf:
+            score = math.sqrt(ratio)
+        else:
+            score = math.sqrt(num) / math.sqrt(den)
         if not math.isfinite(score):
             raise DataError(f"NRMSE{where} is not finite: the samples are too "
                             "large to square in double precision")

@@ -8,13 +8,13 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import jerklab
-import jerklab.integrate
 from jerklab.errors import (
     InsufficientDataError,
     IntegrationOverflowError,
@@ -30,6 +30,7 @@ from jerklab.integrate import (
     SimulationResult,
     _channels,
     _finite3,
+    simulate,
 )
 from jerklab.metrics import MeanFrom
 from jerklab.series import SeriesMeta, TimeSeries, UniformSeries
@@ -119,25 +120,25 @@ def rng() -> random.Random:
     return random.Random(20260822)
 
 
-class LinearRhs:
-    """The jerk kernel without its quadratic term: the linear subsystem
-    x''' = -a*x'' - x, whose closed-form solution the accuracy tests compare
-    the integrators against. Counts its calls, so a test can show it ran."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, x, xd, xdd, a, sf):
-        self.calls += 1
-        return xd, xdd, -(a * xdd) - x
+#: The model with its quadratic coefficient set to 0: the linear subsystem
+#: x''' = -a*x'' - x, whose closed-form solution the accuracy tests compare
+#: the integrators against. ``JerkParams`` admits only the signs -1 and +1, so
+#: this test-only stand-in carries just the two attributes ``simulate`` reads.
+LINEAR_PARAMS = SimpleNamespace(a=2.03, sign=SimpleNamespace(value=0.0))
 
 
-@pytest.fixture
-def linear_rhs(monkeypatch) -> LinearRhs:
-    """Swaps the integrators' jerk kernel for a :class:`LinearRhs`."""
-    rhs = LinearRhs()
-    monkeypatch.setattr(jerklab.integrate, "_rhs", rhs)
-    return rhs
+def simulation_bits(res: SimulationResult) -> bytes:
+    return np.concatenate([res.x.values, res.xd.values, res.xdd.values]).tobytes()
+
+
+def simulate_linear(config: IntegratorConfig) -> SimulationResult:
+    """``simulate`` under :data:`LINEAR_PARAMS`, checked to give other bits
+    than the same config under ``JerkParams(a=2.03)``, so the zero quadratic
+    coefficient is known to reach the kernel."""
+    res = simulate(config, LINEAR_PARAMS)
+    full = simulate(config, JerkParams(a=LINEAR_PARAMS.a))
+    assert simulation_bits(res) != simulation_bits(full), "quadratic term still on"
+    return res
 
 
 # The package's former trace reader, kept as the reference for the one-pass

@@ -4,6 +4,7 @@ prediction horizon, divergence rate, and whole-comparison assembly."""
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -296,11 +297,12 @@ class TestSinglePassScorer:
                 for score, ref in zip(w.scores, exact):
                     errors.append(abs(score - ref) / math.ulp(ref))
         # Measured on these 180 boundaries, in ulps from the correctly
-        # rounded value (max, mean): this pass 1, 0.43; the former two-pass
-        # scorer 1, 0.40; an uncompensated Welford pass 3, 0.95.
+        # rounded value (max, mean): this pass, one root of the ratio, 1,
+        # 0.21; this pass with a root of each sum 1, 0.43; the former
+        # two-pass scorer 1, 0.40; an uncompensated Welford pass 3, 0.95.
         assert len(errors) == 180
         assert max(errors) <= 4.0
-        assert sum(errors) / len(errors) <= 0.5
+        assert sum(errors) / len(errors) <= 0.3
 
     def test_degenerate_full_series_has_no_window_index(self):
         m = mk_uniform([2.0, 2.0, 2.0])
@@ -349,6 +351,40 @@ class TestOverflowingScores:
             assert_bit_equal(nrmse(m, m, mean_from), 0.0, mean_from.value)
             windowed = cumulative_nrmse(m, m, 4, mean_from)
             assert windowed.scores == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestScoreRoundings:
+    """The score is the root of num/den where that ratio is a normal float,
+    and a root of each sum where the ratio overflows or is subnormal.
+
+    Two samples scored about the measured mean, y = (0, c) and
+    yhat = (d, c), give num = d*d and, for a power of two c, den = c*c/2
+    exactly."""
+
+    @staticmethod
+    def _score_and_sums(c, d):
+        score = nrmse(mk_uniform([0.0, c]), mk_uniform([d, c]), MeanFrom.MEASURED)
+        return score, d * d, c * c / 2
+
+    def test_normal_ratio_takes_one_root(self):
+        score, num, den = self._score_and_sums(2.0 ** 60, 2.209278197011611)
+        assert sys.float_info.min <= num / den < math.inf
+        assert math.sqrt(num / den) != math.sqrt(num) / math.sqrt(den)
+        assert_bit_equal(score, math.sqrt(num / den))
+
+    def test_subnormal_ratio_takes_a_root_of_each_sum(self):
+        # num/den is about 1.5e-320, where a subnormal keeps 14 bits.
+        score, num, den = self._score_and_sums(2.0 ** 60, 1e-142)
+        assert 0.0 < num / den < sys.float_info.min
+        assert_bit_equal(score, math.sqrt(num) / math.sqrt(den))
+        assert abs(math.sqrt(num / den) / score - 1.0) > 1e-6
+
+    def test_overflowing_ratio_takes_a_root_of_each_sum(self):
+        # num is finite and den tiny: the ratio overflows, the score does not.
+        score, num, den = self._score_and_sums(2.0 ** -100, 1e154)
+        assert num < math.inf and num / den == math.inf
+        assert_bit_equal(score, math.sqrt(num) / math.sqrt(den))
+        assert score < math.inf
 
 
 _PAIR = (mk_uniform([0.0, 1.0, 3.0, 2.0, 5.0, 4.0]),
