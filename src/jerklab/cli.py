@@ -13,6 +13,7 @@ Exit statuses: 0 success; 1 I/O or data failure; 2 usage/validation failure.
 from __future__ import annotations
 
 import argparse
+import enum
 import inspect
 import json
 import math
@@ -29,24 +30,21 @@ from .metrics import MeanFrom, build_comparison
 _COMPARISON = inspect.signature(build_comparison).parameters
 #: The NRMSE threshold ``horizon`` uses when neither a flag nor the config sets one.
 _HORIZON_THRESHOLD = 1.0
-#: The keys whose value names a choice, each with the check a run applies to
-#: the name; a config file's names go through it before any work starts.
-_NAME_CHECKS = {"sign": Sign.parse, "method": Method.parse,
-                "mean_from": MeanFrom.parse}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One declarative document holding every tunable the CLI accepts.
+    """One declarative document holding every tunable the CLI accepts, each
+    as the value the library takes.
 
     A JSON config file (``--config``) populates it; individual flags
     override single fields. Unknown keys in the file are rejected.
     """
 
     a: float = JerkParams().a
-    sign: str = JerkParams().sign.name.lower()
-    ic: tuple[float, float, float] = DEFAULT_INITIAL_STATE.as_tuple()
-    method: str = IntegratorConfig().method.name.lower()
+    sign: Sign = JerkParams().sign
+    ic: SystemState = DEFAULT_INITIAL_STATE
+    method: Method = IntegratorConfig().method
     step: float = IntegratorConfig().step
     t_start: float = IntegratorConfig().t_start
     t_end: float = IntegratorConfig().t_end
@@ -54,7 +52,7 @@ class RunConfig:
     grid_points: int = _COMPARISON["grid_points"].default
     n_windows: int = _COMPARISON["n_windows"].default
     threshold: float | None = None
-    mean_from: str = _COMPARISON["mean_from"].default.name.lower()
+    mean_from: MeanFrom = _COMPARISON["mean_from"].default
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -75,27 +73,29 @@ class RunConfig:
                 f"config {path} has unknown keys: {', '.join(unknown)}"
             )
         try:
-            checked = {key: _config_value(key, value) for key, value in doc.items()}
+            checked = {key: _field_value(key, value) for key, value in doc.items()}
         except ValidationError as exc:
             raise ValidationError(f"config {path}: {exc}") from None
         return replace(cls(), **checked)
 
 
-def _config_value(key: str, value):
-    """``value``, checked to have the JSON type of the key's ``RunConfig()``
-    default: a string, an integer or a finite number (``threshold`` may also
-    be null, and ``ic`` must be a list whose every element is a finite
-    number). A choice's name must also pass its check in ``_NAME_CHECKS``."""
-    if key == "ic":
+def _field_value(key: str, value):
+    """``value`` as the ``RunConfig`` field ``key``: a choice's name (any
+    case) as its member, an ``ic`` list of three finite numbers as a
+    ``SystemState``, and any other value as it is once it has the JSON type
+    of the field's default: an integer or a finite number (``threshold`` may
+    also be null)."""
+    default = getattr(RunConfig(), key, None)  # None for threshold and an ic component
+    if isinstance(default, enum.Enum):
+        return type(default).parse(value)
+    if isinstance(default, SystemState):
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
-        for v in value:
-            _config_value("ic component", v)
-        return _parse_ic_list(value)
-    default = getattr(RunConfig(), key, None)  # None for threshold and an ic component
-    if isinstance(default, str):
-        ok, want = isinstance(value, str), "a string"
-    elif type(default) is int:
+        components = [_field_value("ic component", v) for v in value]
+        if len(components) != 3:
+            raise ValidationError(f"ic must have exactly 3 components, got {len(value)}")
+        return SystemState(*components)
+    if type(default) is int:
         ok, want = type(value) is int, "an integer"
     elif key == "threshold" and value is None:
         return value
@@ -107,31 +107,24 @@ def _config_value(key: str, value):
         want = "a finite number"
     if not ok:
         raise ValidationError(f"{key} must be {want}, got {value!r}")
-    if key in _NAME_CHECKS:
-        _NAME_CHECKS[key](value)
     return value
-
-
-def _parse_ic_list(value) -> tuple[float, float, float]:
-    """The ``--ic`` text ``X,XD,XDD``, or a config file's ``ic`` list, as floats."""
-    parts = value.split(",") if isinstance(value, str) else value
-    if len(parts) != 3:
-        raise ValidationError(f"ic must have exactly 3 components, got {len(parts)}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"ic components must be numbers, got {value!r}") from None
 
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name, None) is not None}
+    for key in overrides.keys() & {"sign", "method", "mean_from"}:
+        overrides[key] = _field_value(key, overrides[key])
     if "ic" in overrides:
+        text = overrides["ic"]
         try:
-            overrides["ic"] = SystemState(*_parse_ic_list(overrides["ic"])).as_tuple()
+            overrides["ic"] = _field_value("ic", [float(p) for p in text.split(",")])
         except ValidationError as exc:
             raise ValidationError(f"--ic: {exc}") from None
+        except ValueError:  # a part float() cannot read
+            raise ValidationError(
+                f"--ic: ic components must be numbers, got {text!r}") from None
     return replace(cfg, **overrides)
 
 
@@ -144,22 +137,24 @@ def _build_report(args: argparse.Namespace, cfg: RunConfig):
         except OSError as exc:
             raise DataError(f"cannot open {path}: {exc}") from None
 
-    measured = load(args.measured, "measured")
-    candidates = {}
+    paths = {}
     for spec_text in args.candidate:
         name, sep, path = spec_text.partition("=")
         if not sep or not name or not path:
-            raise ValidationError(
-                f"--candidate expects NAME=FILE, got {spec_text!r}"
-            )
-        if name in candidates:
+            raise ValidationError(f"--candidate expects NAME=FILE, got {spec_text!r}")
+        if set(name) & set(",\r\n"):  # the name heads a windows CSV column
+            raise ValidationError(f"--candidate NAME may not hold a comma or "
+                                  f"line break, got {spec_text!r}")
+        if name in paths:
             raise ValidationError(f"duplicate candidate name {name!r}")
-        candidates[name] = load(path, name)
+        paths[name] = path
+    measured = load(args.measured, "measured")
+    candidates = {name: load(path, name) for name, path in paths.items()}
     return build_comparison(
         measured, candidates,
         grid_points=cfg.grid_points,
         n_windows=cfg.n_windows,
-        mean_from=MeanFrom.parse(cfg.mean_from),
+        mean_from=cfg.mean_from,
         threshold=cfg.threshold,
     )
 
@@ -217,13 +212,13 @@ def _default_windows_path(report_path: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    params = JerkParams(a=cfg.a, sign=Sign.parse(cfg.sign))
+    params = JerkParams(a=cfg.a, sign=cfg.sign)
     config = IntegratorConfig(
-        method=Method.parse(cfg.method),
+        method=cfg.method,
         t_start=cfg.t_start,
         t_end=cfg.t_end,
         step=cfg.step,
-        initial_state=SystemState(*cfg.ic),
+        initial_state=cfg.ic,
         output_points=cfg.output_points,
     )
     result = simulate(config, params)
@@ -297,18 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"common-grid sample count (default {num(d.grid_points)})")
     traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
-                        f"normalizing mean (default {d.mean_from})")
+                        f"normalizing mean (default {d.mean_from.name.lower()})")
 
     sim = sub.add_parser("simulate", parents=[config],
                          help="integrate the system, write a trace CSV")
     sim.add_argument("--a", type=float, dest="a",
                      help=f"bifurcation parameter (default {num(d.a)})")
     sim.add_argument("--sign", choices=[m.name.lower() for m in Sign],
-                     help=f"sign of the quadratic term (default {d.sign})")
+                     help=f"sign of the quadratic term (default {d.sign.name.lower()})")
     sim.add_argument("--ic", help="initial state as X,XD,XDD "
-                                  f"(default {','.join(map(num, d.ic))})")
+                                  f"(default {','.join(map(num, d.ic.as_tuple()))})")
     sim.add_argument("--method", choices=[m.name.lower() for m in Method],
-                     help=f"integration method (default {d.method})")
+                     help=f"integration method (default {d.method.name.lower()})")
     sim.add_argument("--h", type=float, dest="step",
                      help="step ceiling (fixed-step) or initial step (rk45); "
                           f"default {num(d.step)}")

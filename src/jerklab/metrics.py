@@ -282,6 +282,8 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     means the two trajectories separate exponentially (chaos indicator),
     negative means they converge. Indices are 0-based and inclusive, and the
     range must hold at least 3 samples with strictly nonzero separation.
+    The logarithms come from ``math.log``, so the last bits of the slope
+    depend on the platform's C math library.
     """
     _check_same_grid(a, b)
     start = _require_int(fit_start, "fit indices must be integers")
@@ -372,6 +374,8 @@ def build_comparison(measured: TimeSeries,
     if threshold is not None:
         threshold = _require_float(threshold, "threshold must be > 0, got {!r}",
                                    positive=True)
+    grid_points = _require_int(
+        grid_points, f"grid_points must be an integer >= 2, got {grid_points!r}", 2)
     grid = build_common_grid([measured, *candidates.values()], grid_points)
     m = resample_linear(measured, grid)
     scored = []

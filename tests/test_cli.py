@@ -8,12 +8,13 @@ stdout/stderr can be asserted directly; one subprocess test covers the
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 
 import pytest
 
-from jerklab import MeanFrom, Method, Sign, format_float, parse_trace
+from jerklab import MeanFrom, Method, Sign, SystemState, format_float, parse_trace
 from jerklab import cli
 from jerklab.cli import RunConfig, main
 
@@ -259,6 +260,36 @@ class TestCompare:
             "--report", str(tmp_path / "r.json"))
         assert code == 2
         assert "duplicate" in stderr
+
+    @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", ","])
+    def test_candidate_name_that_would_split_a_csv_cell(self, capsys, tmp_path,
+                                                        name):
+        # Every spec is checked before any trace is read: the measured file
+        # does not exist, and the bad spec comes after a good one.
+        ghost = str(tmp_path / "ghost.csv")
+        spec = f"{name}={ghost}"
+        code, _, stderr = run_cli(
+            capsys, "compare", "--measured", ghost,
+            "--candidate", f"c={ghost}", "--candidate", spec,
+            "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert stderr == ("error: --candidate NAME may not hold a comma or "
+                          f"line break, got {spec!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_one_grid_point_names_the_setting(self, capsys, trace_dir, source):
+        tmp_path, files = trace_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_points": 1}))
+        setting = (["--grid-points", "1"] if source == "flag"
+                   else ["--config", str(cfg)])
+        code, _, stderr = run_cli(
+            capsys, "compare", "--measured", files["measured"],
+            "--candidate", f"close={files['close']}", *setting,
+            "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert stderr == "error: grid_points must be an integer >= 2, got 1\n"
 
     def test_disjoint_domains(self, capsys, tmp_path):
         from jerklab import write_series_csv
@@ -603,6 +634,33 @@ class TestConfigFile:
         assert code == 1
         assert "cannot open config" in stderr
 
+    @pytest.mark.parametrize("command,doc,flags,want", [
+        ("simulate",
+         {"sign": "plus", "method": "euler", "ic": [0.5, -1, 0.25]},
+         ["--sign", "plus", "--method", "euler", "--ic", "0.5,-1,0.25"],
+         RunConfig(sign=Sign.PLUS, method=Method.EULER,
+                   ic=SystemState(0.5, -1.0, 0.25))),
+        ("compare", {"mean_from": "measured"}, ["--nrmse-mean", "measured"],
+         RunConfig(mean_from=MeanFrom.MEASURED)),
+    ], ids=["simulate", "compare"])
+    def test_config_file_and_flags_give_equal_run_configs(self, tmp_path, command,
+                                                          doc, flags, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rest = (["--out", "x.csv"] if command == "simulate"
+                else ["--measured", "m.csv", "--candidate", "c=c.csv"])
+        parse = cli._build_parser().parse_args
+        from_file = cli._merged_config(parse([command, "--config", str(cfg), *rest]))
+        from_flags = cli._merged_config(parse([command, *flags, *rest]))
+        assert from_file == from_flags == want
+
+    def test_run_config_holds_the_library_values(self):
+        d = RunConfig()
+        assert isinstance(d.sign, Sign)
+        assert isinstance(d.method, Method)
+        assert isinstance(d.mean_from, MeanFrom)
+        assert isinstance(d.ic, SystemState)
+
     def test_config_ic_as_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -658,10 +716,10 @@ class TestHelpDefaults:
         shown = {}
         for flag, field in self.FLAGS[command].items():
             value = getattr(RunConfig(), field)
-            if isinstance(value, str):
-                shown[flag] = value
-            elif isinstance(value, tuple):
-                shown[flag] = ",".join(map(format_float, value))
+            if isinstance(value, enum.Enum):
+                shown[flag] = value.name.lower()
+            elif isinstance(value, SystemState):
+                shown[flag] = ",".join(map(format_float, value.as_tuple()))
             else:
                 shown[flag] = format_float(value)
         if command == "horizon":

@@ -6,6 +6,8 @@ import dataclasses
 import inspect
 import math
 import random
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +185,10 @@ def test_public_surface_resolves_without_the_removed_wrappers():
         assert "fmt" not in params
         assert params["source_id"].kind is inspect.Parameter.KEYWORD_ONLY
     assert "format" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_version_matches_pyproject():
+    # The version is written twice: in the package and in its metadata.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert jerklab.__version__ == tomllib.load(f)["project"]["version"]

@@ -404,6 +404,9 @@ _INTEGER_ARGUMENTS = {
     "build_comparison": (lambda v: build_comparison(_TRACE, {"c": _TRACE},
                                                     n_windows=v),
                          "n_windows must be an integer >= 1, got {!r}"),
+    "build_comparison.grid_points": (
+        lambda v: build_comparison(_TRACE, {"c": _TRACE}, grid_points=v),
+        "grid_points must be an integer >= 2, got {!r}"),
     "fit_start": (lambda v: divergence_rate(*_PAIR, v, 4),
                   "fit indices must be integers"),
     "fit_end": (lambda v: divergence_rate(*_PAIR, 0, v),
