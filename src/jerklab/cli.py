@@ -128,6 +128,10 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+#: The windows CSV's first column, the sample count that ends each prefix.
+_BOUNDARY_COLUMN = "prefix_end"
+
+
 def _build_report(args: argparse.Namespace, cfg: RunConfig):
     """Load the measured and candidate traces and score them: the pipeline
     that ``compare`` and ``horizon`` share."""
@@ -145,6 +149,9 @@ def _build_report(args: argparse.Namespace, cfg: RunConfig):
         if set(name) & set(",\r\n"):  # the name heads a windows CSV column
             raise ValidationError(f"--candidate NAME may not hold a comma or "
                                   f"line break, got {spec_text!r}")
+        if name == _BOUNDARY_COLUMN:
+            raise ValidationError(f"--candidate NAME may not be the windows CSV's "
+                                  f"first column {name!r}, got {spec_text!r}")
         if name in paths:
             raise ValidationError(f"duplicate candidate name {name!r}")
         paths[name] = path
@@ -194,7 +201,7 @@ def _write_report_json(path: str, payload) -> None:
 
 def _write_windows_csv(path: str, report) -> None:
     ids = [c.id for c in report.candidates]
-    lines = ["prefix_end," + ",".join(ids)]
+    lines = [",".join([_BOUNDARY_COLUMN, *ids])]
     boundaries = report.candidates[0].windowed.boundaries
     for row, boundary in enumerate(boundaries):
         cells = [str(boundary)]

@@ -12,12 +12,15 @@ conventional measured-mean variant is available through ``mean_from``.
 A score of 0 is a perfect match; around 1 the simulation does no better
 than predicting a constant mean.
 
-Scores are computed in one sequential pass over the samples, with no
-platform reduction order involved, so repeated calls are bit-identical. The
-mean source and the error power are Neumaier-compensated running sums read
-off at each window boundary; the denominator is a compensated Welford sum of
-squared deviations plus the shift to the normalizing mean. The full-series
-score is the one-window case of the same pass.
+Scores are computed with no platform reduction order involved, so repeated
+calls are bit-identical. The mean source and the error power are
+Neumaier-compensated running sums read off at each window boundary; the
+denominator is a compensated Welford sum of squared deviations plus the
+shift to the normalizing mean. Each running sum is a few whole-array steps
+around ``np.add.accumulate``, which adds strictly left to right: the bits
+are those of one sequential loop over the samples, and no pairwise
+reduction is used. Only the window boundaries are scored in Python. The
+full-series score is the one-window case of the same passes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from .align import CommonGrid, build_common_grid, resample_linear
 from .errors import (
@@ -66,71 +71,57 @@ def _check_same_grid(measured: UniformSeries, simulated: UniformSeries):
         )
 
 
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """Neumaier running sums of ``x``: element ``k`` is, bit for bit, the
+    compensated sum ``hi + lo`` that a loop adding ``x`` left to right from
+    0.0 holds after term ``k``.
+
+    ``np.add.accumulate`` adds strictly left to right, unlike ``np.sum``,
+    whose pairwise order would change the bits. Each accumulate starts from
+    0.0 as the loop does, and ``prev`` is the loop's ``hi`` before each term.
+    """
+    hi = np.add.accumulate(np.concatenate(([0.0], x)))
+    prev, hi = hi[:-1], hi[1:]
+    comp = np.where(np.abs(prev) >= np.abs(x), (prev - hi) + x, (x - hi) + prev)
+    return hi + np.add.accumulate(np.concatenate(([0.0], comp)))[1:]
+
+
 def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
                    boundaries: Sequence[int], mean_from: MeanFrom,
                    windowed: bool = True) -> list[float]:
-    """Scores of the prefixes ending at each of ``boundaries``, in one pass.
+    """Scores of the prefixes ending at each of ``boundaries``.
 
-    The mean source and the error power are Neumaier running sums, read off
-    at each boundary and never restarted, so each equals a Neumaier sum of
-    that prefix bit for bit. The denominator is ``M2 + n*(ybar_n - m)**2``,
-    where ``M2`` accumulates the Welford terms
-    ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with compensation and ``ybar_k``
-    comes from a compensated running sum of ``y``; both parts are
-    non-negative, so nothing cancels. Boundaries are 1-based and strictly
-    increasing; a zero denominator or a score that overflows raises, naming
-    the 1-based window when ``windowed``. Callers pass ``values.tolist()``:
-    iterating an ndarray here gives the same bits several times slower.
+    The mean source and the error power are Neumaier running sums read off
+    at each boundary, so each equals a Neumaier sum of that prefix bit for
+    bit. The denominator is ``M2 + n*(ybar_n - m)**2``, where ``M2``
+    accumulates the Welford terms ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with
+    compensation and ``ybar_k`` comes from the compensated running sum of
+    ``y``; both parts are non-negative, so nothing cancels. Every running sum
+    is a sequential array pass (see :func:`_running_sum`), so the bits are
+    those of one loop over the samples; only the boundary values are scored
+    in Python. Boundaries are 1-based, strictly increasing and at most the
+    series length; a zero denominator or a score that overflows raises,
+    naming the 1-based window when ``windowed``.
     """
     from_sim = mean_from is MeanFrom.SIMULATED
+    ends = list(boundaries)
+    last = ends[-1]
+    y = np.asarray(y, dtype=float)[:last]
+    yhat = np.asarray(yhat, dtype=float)[:last]
+    at = np.array(ends) - 1
+    # Overflow and inf - inf follow IEEE here; the scalar checks below raise.
+    with np.errstate(all="ignore"):
+        means = _running_sum(y) / np.arange(1.0, last + 1)
+        prev = np.concatenate(([0.0], means[:-1]))  # its factor vanishes at k = 1
+        dens = _running_sum((y - prev) * (y - means))[at].tolist()
+        nums = _running_sum(np.square(y - yhat))[at].tolist()
+        means = means[at].tolist()
+        ybars = ((_running_sum(yhat)[at] / (at + 1)).tolist() if from_sim
+                 else means)
     scores = []
-    ends = iter(boundaries)
-    end = next(ends)
-    s_hi = s_lo = 0.0  # sum of y
-    h_hi = h_lo = 0.0  # sum of yhat
-    e_hi = e_lo = 0.0  # sum of (y - yhat)**2
-    q_hi = q_lo = 0.0  # M2 of y
-    prev = 0.0  # ybar_{k-1}; its factor vanishes at k = 1
-    n = 0
-    for yk, hk in zip(y, yhat):
-        n += 1
-        t = s_hi + yk
-        if abs(s_hi) >= abs(yk):
-            s_lo += (s_hi - t) + yk
-        else:
-            s_lo += (yk - t) + s_hi
-        s_hi = t
-        t = h_hi + hk
-        if abs(h_hi) >= abs(hk):
-            h_lo += (h_hi - t) + hk
-        else:
-            h_lo += (hk - t) + h_hi
-        h_hi = t
-        d = yk - hk
-        v = d * d
-        t = e_hi + v
-        if e_hi >= v:
-            e_lo += (e_hi - t) + v
-        else:
-            e_lo += (v - t) + e_hi
-        e_hi = t
-        mean = (s_hi + s_lo) / n
-        v = (yk - prev) * (yk - mean)
-        prev = mean
-        t = q_hi + v
-        if abs(q_hi) >= abs(v):
-            q_lo += (q_hi - t) + v
-        else:
-            q_lo += (v - t) + q_hi
-        q_hi = t
-        if n != end:
-            continue
-        den = q_hi + q_lo
+    for n, mean, ybar, den, num in zip(ends, means, ybars, dens, nums):
         if from_sim:
-            ybar = (h_hi + h_lo) / n
             den += n * ((mean - ybar) * (mean - ybar))
-        else:
-            ybar = mean
         window = len(scores) + 1 if windowed else None
         where = f" in cumulative window {window}" if windowed else ""
         if den <= 0.0:
@@ -139,7 +130,6 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
                 f"equal the normalizing mean {ybar!r}",
                 window=window,
             )
-        num = e_hi + e_lo
         # One square root of the ratio rounds twice, not three times; where
         # the ratio overflows or is subnormal, each sum takes its own root.
         # Identical prefixes score 0, even where their spread overflows.
@@ -154,9 +144,6 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
             raise DataError(f"NRMSE{where} is not finite: the samples are too "
                             "large to square in double precision")
         scores.append(score)
-        end = next(ends, None)
-        if end is None:
-            break
     return scores
 
 
@@ -166,7 +153,7 @@ def nrmse(measured: UniformSeries, simulated: UniformSeries,
     _check_same_grid(measured, simulated)
     if len(measured) < 2:
         raise ValidationError("nrmse needs at least 2 samples")
-    return _prefix_scores(measured.values.tolist(), simulated.values.tolist(),
+    return _prefix_scores(measured.values, simulated.values,
                           (len(measured),), mean_from, windowed=False)[0]
 
 
@@ -218,8 +205,8 @@ def cumulative_nrmse(measured: UniformSeries, simulated: UniformSeries,
     if n < 2:
         raise ValidationError("cumulative nrmse needs at least 2 samples")
     boundaries = tuple(round(j * n / k) for j in range(1, k + 1))
-    scores = _prefix_scores(measured.values.tolist(),
-                            simulated.values.tolist(), boundaries, mean_from)
+    scores = _prefix_scores(measured.values, simulated.values, boundaries,
+                            mean_from)
     return WindowedNrmse(boundaries=boundaries, scores=tuple(scores))
 
 

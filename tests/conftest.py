@@ -9,13 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
 import jerklab
 from jerklab.errors import (
+    DataError,
+    DegenerateDataError,
     InsufficientDataError,
     IntegrationOverflowError,
     ParseError,
@@ -94,6 +96,93 @@ def two_pass_nrmse(y, yhat, n, mean_from=MeanFrom.SIMULATED) -> float:
     num = compensated_sum((y[k] - yhat[k]) * (y[k] - yhat[k]) for k in range(n))
     den = compensated_sum((y[k] - ybar) * (y[k] - ybar) for k in range(n))
     return math.sqrt(num) / math.sqrt(den)
+
+
+def reference_prefix_scores(y: Sequence[float], yhat: Sequence[float],
+                            boundaries: Sequence[int], mean_from: MeanFrom,
+                            windowed: bool = True) -> list[float]:
+    """The package's scorer as one Python loop over the samples, frozen.
+
+    This is ``metrics._prefix_scores`` as it stood before the running sums
+    became array passes, kept unchanged as the reference those passes must
+    equal bit for bit: same scores, or the same error, message and window.
+    """
+    from_sim = mean_from is MeanFrom.SIMULATED
+    scores = []
+    ends = iter(boundaries)
+    end = next(ends)
+    s_hi = s_lo = 0.0  # sum of y
+    h_hi = h_lo = 0.0  # sum of yhat
+    e_hi = e_lo = 0.0  # sum of (y - yhat)**2
+    q_hi = q_lo = 0.0  # M2 of y
+    prev = 0.0  # ybar_{k-1}; its factor vanishes at k = 1
+    n = 0
+    for yk, hk in zip(y, yhat):
+        n += 1
+        t = s_hi + yk
+        if abs(s_hi) >= abs(yk):
+            s_lo += (s_hi - t) + yk
+        else:
+            s_lo += (yk - t) + s_hi
+        s_hi = t
+        t = h_hi + hk
+        if abs(h_hi) >= abs(hk):
+            h_lo += (h_hi - t) + hk
+        else:
+            h_lo += (hk - t) + h_hi
+        h_hi = t
+        d = yk - hk
+        v = d * d
+        t = e_hi + v
+        if e_hi >= v:
+            e_lo += (e_hi - t) + v
+        else:
+            e_lo += (v - t) + e_hi
+        e_hi = t
+        mean = (s_hi + s_lo) / n
+        v = (yk - prev) * (yk - mean)
+        prev = mean
+        t = q_hi + v
+        if abs(q_hi) >= abs(v):
+            q_lo += (q_hi - t) + v
+        else:
+            q_lo += (v - t) + q_hi
+        q_hi = t
+        if n != end:
+            continue
+        den = q_hi + q_lo
+        if from_sim:
+            ybar = (h_hi + h_lo) / n
+            den += n * ((mean - ybar) * (mean - ybar))
+        else:
+            ybar = mean
+        window = len(scores) + 1 if windowed else None
+        where = f" in cumulative window {window}" if windowed else ""
+        if den <= 0.0:
+            raise DegenerateDataError(
+                f"zero NRMSE denominator{where}: the measured samples all "
+                f"equal the normalizing mean {ybar!r}",
+                window=window,
+            )
+        num = e_hi + e_lo
+        # One square root of the ratio rounds twice, not three times; where
+        # the ratio overflows or is subnormal, each sum takes its own root.
+        # Identical prefixes score 0, even where their spread overflows.
+        ratio = num / den
+        if not num:
+            score = 0.0
+        elif sys.float_info.min <= ratio < math.inf:
+            score = math.sqrt(ratio)
+        else:
+            score = math.sqrt(num) / math.sqrt(den)
+        if not math.isfinite(score):
+            raise DataError(f"NRMSE{where} is not finite: the samples are too "
+                            "large to square in double precision")
+        scores.append(score)
+        end = next(ends, None)
+        if end is None:
+            break
+    return scores
 
 
 def random_series_pair(rng: random.Random, n=None):

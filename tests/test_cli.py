@@ -277,6 +277,22 @@ class TestCompare:
                           f"line break, got {spec!r}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["compare", "horizon"])
+    def test_candidate_named_like_the_boundary_column(self, capsys, tmp_path,
+                                                      command):
+        # The windows CSV would head two columns "prefix_end". The spec is
+        # refused before any trace is read, as the comma rule is.
+        ghost = str(tmp_path / "ghost.csv")
+        spec = f"prefix_end={ghost}"
+        code, _, stderr = run_cli(
+            capsys, command, "--measured", ghost, "--threshold", "0.5",
+            "--candidate", f"c={ghost}", "--candidate", spec,
+            "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert stderr == ("error: --candidate NAME may not be the windows CSV's "
+                          f"first column 'prefix_end', got {spec!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_one_grid_point_names_the_setting(self, capsys, trace_dir, source):
         tmp_path, files = trace_dir

@@ -47,8 +47,13 @@ from conftest import (
     mk_uniform,
     oracle_nrmse,
     random_series_pair,
+    reference_prefix_scores,
     two_pass_nrmse,
 )
+
+# The scorer's array passes overflow and underflow by design: no numpy
+# warning may escape any metric.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 class TestCompensatedSum:
@@ -385,6 +390,103 @@ class TestScoreRoundings:
         assert num < math.inf and num / den == math.inf
         assert_bit_equal(score, math.sqrt(num) / math.sqrt(den))
         assert score < math.inf
+
+
+#: Values whose sums and squares stress the running sums: signed zeros,
+#: subnormals, the normal minimum, and magnitudes whose squares overflow.
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, sys.float_info.min,
+             1e-300, -1e-300, 1e16, -1e16, 1e200, -1e200, 1e300, -1e300,
+             1.0, -1.0)
+_SCALES = (1.0, 1e-8, 1e8, 1e-300, 1e-310, 1e200, 1e300)
+
+
+def _draw_values(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:  # a constant series
+        return [rng.choice(_SPECIALS + (rng.gauss(0.0, 1.0),))] * n
+    if kind == 1:
+        return [rng.choice(_SPECIALS) if rng.random() < 0.5
+                else rng.gauss(0.0, 1.0) for _ in range(n)]
+    if kind == 2:  # cancelling terms, where the order of additions shows
+        return [rng.choice((1e16, -1e16)) + rng.gauss(0.0, 1.0)
+                for _ in range(n)]
+    scale = rng.choice(_SCALES)
+    offset = rng.choice((0.0, 0.0, 1e3 * scale, -1e8))
+    return [offset + scale * rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
+def _draw_case(rng):
+    """Arguments for one scorer call: series, boundaries, mean source and
+    whether windows are named."""
+    n = rng.randint(1, 48)
+    y = _draw_values(rng, n)
+    pick = rng.randrange(4)
+    if pick == 0:
+        yhat = list(y)
+    elif pick == 1:
+        yhat = [v + abs(v) * rng.gauss(0.0, 1e-3) for v in y]
+    else:
+        yhat = _draw_values(rng, n)
+    bounds = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    return y, yhat, bounds, rng.choice(list(MeanFrom)), rng.random() < 0.8
+
+
+def _outcome(scorer, *args):
+    """The scores' exact bits, or the error's type, message and window."""
+    try:
+        return [s.hex() for s in scorer(*args)]
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "window", "no window")
+
+
+class TestArrayPassesMatchTheLoop:
+    """The array-pass scorer against the frozen loop it replaced."""
+
+    def test_seeded_cases_are_bit_identical(self, rng):
+        kinds = {"scores": 0, DegenerateDataError: 0, DataError: 0}
+        for case in range(6000):
+            y, yhat, bounds, mean_from, windowed = _draw_case(rng)
+            expected = _outcome(reference_prefix_scores, y, yhat, bounds,
+                                mean_from, windowed)
+            if case % 2:  # production passes arrays; tests pass lists
+                y, yhat = np.array(y), np.array(yhat)
+            got = _outcome(_prefix_scores, y, yhat, bounds, mean_from, windowed)
+            assert got == expected, (case, bounds, mean_from)
+            kinds["scores" if isinstance(got, list) else got[0]] += 1
+        # The draw reaches every outcome, not only the ordinary one.
+        assert min(kinds.values()) >= 300, kinds
+
+    @pytest.mark.parametrize("mean_from", list(MeanFrom))
+    def test_all_subnormal_series_is_degenerate(self, mean_from):
+        # Every squared deviation underflows to 0, so the denominator does.
+        y = [5e-324 * k for k in range(1, 9)]
+        yhat = [1e-310 * k for k in range(1, 9)]
+        with pytest.raises(DegenerateDataError,
+                           match="^zero NRMSE denominator: ") as info:
+            nrmse(mk_uniform(y), mk_uniform(yhat), mean_from)
+        assert _outcome(reference_prefix_scores, y, yhat, [8], mean_from,
+                        False) == (DegenerateDataError, str(info.value), None)
+
+    @staticmethod
+    def _loop_partials(values):
+        acc, partials = 0.0, []
+        for v in values:
+            acc += v
+            partials.append(acc)
+        return partials
+
+    def test_accumulate_adds_left_to_right(self, rng):
+        # Left to right, each 1.0 is lost against 1e16 and the total is 0.0;
+        # a pairwise or reordered sum keeps some of them.
+        cancelling = [1.0, 1e16, -1e16] * 1000
+        partials = self._loop_partials(cancelling)
+        assert partials[-1] == 0.0 and math.fsum(cancelling) == 1000.0
+        spread = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-8, 8)
+                  for _ in range(4000)]
+        for values in (cancelling, spread):
+            got = np.add.accumulate(np.array(values)).tolist()
+            assert ([v.hex() for v in got]
+                    == [v.hex() for v in self._loop_partials(values)])
 
 
 _PAIR = (mk_uniform([0.0, 1.0, 3.0, 2.0, 5.0, 4.0]),
