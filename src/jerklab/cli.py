@@ -32,30 +32,10 @@ _COMPARISON = inspect.signature(build_comparison).parameters
 _HORIZON_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One declarative document holding every tunable the CLI accepts, each
-    as the value the library takes.
-
-    A JSON config file (``--config``) populates it; individual flags
-    override single fields. Unknown keys in the file are rejected.
-    """
-
-    a: float = JerkParams().a
-    sign: Sign = JerkParams().sign
-    ic: SystemState = DEFAULT_INITIAL_STATE
-    method: Method = IntegratorConfig().method
-    step: float = IntegratorConfig().step
-    t_start: float = IntegratorConfig().t_start
-    t_end: float = IntegratorConfig().t_end
-    output_points: int = IntegratorConfig().output_points
-    grid_points: int = _COMPARISON["grid_points"].default
-    n_windows: int = _COMPARISON["n_windows"].default
-    threshold: float | None = None
-    mean_from: MeanFrom = _COMPARISON["mean_from"].default
-
+class _ConfigFile:
+    """The ``--config`` reader that both config classes share."""
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str):
         try:
             raw = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -66,32 +46,56 @@ class RunConfig:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"config {path} must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValidationError(
-                f"config {path} has unknown keys: {', '.join(unknown)}"
-            )
+            raise ValidationError(f"config {path} has unknown keys: "
+                                  f"{', '.join(unknown)}")
         try:
-            checked = {key: _field_value(key, value) for key, value in doc.items()}
+            checked = {key: _field_value(cls, key, value) for key, value in doc.items()}
         except ValidationError as exc:
             raise ValidationError(f"config {path}: {exc}") from None
         return replace(cls(), **checked)
 
 
-def _field_value(key: str, value):
-    """``value`` as the ``RunConfig`` field ``key``: a choice's name (any
-    case) as its member, an ``ic`` list of three finite numbers as a
-    ``SystemState``, and any other value as it is once it has the JSON type
+@dataclass(frozen=True)
+class SimulateConfig(_ConfigFile):
+    """Every setting ``simulate`` reads, each as the value the library takes.
+    A JSON ``--config`` file sets its fields, flags override single fields,
+    and a key that is not a field is refused."""
+
+    a: float = JerkParams().a
+    sign: Sign = JerkParams().sign
+    ic: SystemState = DEFAULT_INITIAL_STATE
+    method: Method = IntegratorConfig().method
+    step: float = IntegratorConfig().step
+    t_start: float = IntegratorConfig().t_start
+    t_end: float = IntegratorConfig().t_end
+    output_points: int = IntegratorConfig().output_points
+
+
+@dataclass(frozen=True)
+class CompareConfig(_ConfigFile):
+    """Every setting ``compare`` and ``horizon`` read, as ``SimulateConfig`` does."""
+
+    grid_points: int = _COMPARISON["grid_points"].default
+    n_windows: int = _COMPARISON["n_windows"].default
+    threshold: float | None = None
+    mean_from: MeanFrom = _COMPARISON["mean_from"].default
+
+
+def _field_value(cls, key: str, value):
+    """``value`` as the field ``key`` of the config class ``cls``: a choice's
+    name (any case) as its member, an ``ic`` list of three finite numbers as
+    a ``SystemState``, and any other value as it is once it has the JSON type
     of the field's default: an integer or a finite number (``threshold`` may
     also be null)."""
-    default = getattr(RunConfig(), key, None)  # None for threshold and an ic component
+    default = getattr(cls(), key, None)  # None for threshold and an ic component
     if isinstance(default, enum.Enum):
         return type(default).parse(value)
     if isinstance(default, SystemState):
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
-        components = [_field_value("ic component", v) for v in value]
+        components = [_field_value(cls, "ic component", v) for v in value]
         if len(components) != 3:
             raise ValidationError(f"ic must have exactly 3 components, got {len(value)}")
         return SystemState(*components)
@@ -110,16 +114,15 @@ def _field_value(key: str, value):
     return value
 
 
-def _merged_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+def _merged_config(args: argparse.Namespace, cls):
+    cfg = cls.from_file(args.config) if args.config else cls()
+    overrides = {f.name: getattr(args, f.name) for f in fields(cls)
                  if getattr(args, f.name, None) is not None}
-    for key in overrides.keys() & {"sign", "method", "mean_from"}:
-        overrides[key] = _field_value(key, overrides[key])
-    if "ic" in overrides:
-        text = overrides["ic"]
+    for key in overrides.keys() - {"ic"}:
+        overrides[key] = _field_value(cls, key, overrides[key])
+    if (text := overrides.get("ic")) is not None:
         try:
-            overrides["ic"] = _field_value("ic", [float(p) for p in text.split(",")])
+            overrides["ic"] = _field_value(cls, "ic", [float(p) for p in text.split(",")])
         except ValidationError as exc:
             raise ValidationError(f"--ic: {exc}") from None
         except ValueError:  # a part float() cannot read
@@ -132,7 +135,7 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
 _BOUNDARY_COLUMN = "prefix_end"
 
 
-def _build_report(args: argparse.Namespace, cfg: RunConfig):
+def _build_report(args: argparse.Namespace, cfg: CompareConfig):
     """Load the measured and candidate traces and score them: the pipeline
     that ``compare`` and ``horizon`` share."""
     def load(path, source_id):
@@ -218,7 +221,7 @@ def _default_windows_path(report_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, SimulateConfig)
     params = JerkParams(a=cfg.a, sign=cfg.sign)
     config = IntegratorConfig(
         method=cfg.method,
@@ -241,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, CompareConfig)
     report = _build_report(args, cfg)
     _write_report_json(args.report, _report_payload(report, cfg.threshold))
     windows_path = args.windows_out or _default_windows_path(args.report)
@@ -256,19 +259,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_horizon(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, CompareConfig)
     if cfg.threshold is None:
         cfg = replace(cfg, threshold=_HORIZON_THRESHOLD)
     report = _build_report(args, cfg)
-    best_id = None
-    best_time = None
     for cand in report.candidates:
         hz = cand.horizon
         state = "exceeded" if hz.exceeded else "not exceeded"
         print(f"{cand.id}: horizon={format_float(hz.time)} ({state})")
-        if best_time is None or hz.time > best_time:
-            best_id, best_time = cand.id, hz.time
-    print(f"winner: {best_id} (horizon={format_float(best_time)})")
+    best = max(report.candidates, key=lambda c: c.horizon.time)  # first of a tie
+    print(f"winner: {best.id} (horizon={format_float(best.horizon.time)})")
     if args.report:
         _write_report_json(args.report, _report_payload(report, cfg.threshold))
     return 0
@@ -277,7 +277,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    d = RunConfig()  # every "(default ...)" below is read from it
+    sd, cd = SimulateConfig(), CompareConfig()  # every "(default ...)" below
     num = format_float
     parser = argparse.ArgumentParser(
         prog="jerklab",
@@ -294,30 +294,30 @@ def _build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--candidate", action="append", required=True,
                         metavar="NAME=FILE", help="candidate trace (repeatable)")
     traces.add_argument("--windows", type=int, dest="n_windows",
-                        help=f"number of cumulative windows (default {num(d.n_windows)})")
+                        help=f"number of cumulative windows (default {num(cd.n_windows)})")
     traces.add_argument("--grid-points", type=int, dest="grid_points",
-                        help=f"common-grid sample count (default {num(d.grid_points)})")
+                        help=f"common-grid sample count (default {num(cd.grid_points)})")
     traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
-                        f"normalizing mean (default {d.mean_from.name.lower()})")
+                        f"normalizing mean (default {cd.mean_from.name.lower()})")
 
     sim = sub.add_parser("simulate", parents=[config],
                          help="integrate the system, write a trace CSV")
     sim.add_argument("--a", type=float, dest="a",
-                     help=f"bifurcation parameter (default {num(d.a)})")
+                     help=f"bifurcation parameter (default {num(sd.a)})")
     sim.add_argument("--sign", choices=[m.name.lower() for m in Sign],
-                     help=f"sign of the quadratic term (default {d.sign.name.lower()})")
+                     help=f"sign of the quadratic term (default {sd.sign.name.lower()})")
     sim.add_argument("--ic", help="initial state as X,XD,XDD "
-                                  f"(default {','.join(map(num, d.ic.as_tuple()))})")
+                                  f"(default {','.join(map(num, sd.ic.as_tuple()))})")
     sim.add_argument("--method", choices=[m.name.lower() for m in Method],
-                     help=f"integration method (default {d.method.name.lower()})")
+                     help=f"integration method (default {sd.method.name.lower()})")
     sim.add_argument("--h", type=float, dest="step",
                      help="step ceiling (fixed-step) or initial step (rk45); "
-                          f"default {num(d.step)}")
+                          f"default {num(sd.step)}")
     sim.add_argument("--t-end", type=float, dest="t_end",
-                     help=f"end of the integration span (default {num(d.t_end)})")
+                     help=f"end of the integration span (default {num(sd.t_end)})")
     sim.add_argument("--points", type=int, dest="output_points",
-                     help=f"number of output samples (default {num(d.output_points)})")
+                     help=f"number of output samples (default {num(sd.output_points)})")
     sim.add_argument("--out", required=True, help="output trace CSV path")
     sim.set_defaults(func=cmd_simulate)
 

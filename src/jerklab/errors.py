@@ -104,7 +104,7 @@ class ExtrapolationError(DataError):
 
 
 class DegenerateDataError(DataError):
-    """An NRMSE denominator vanished (constant data equal to the mean).
+    """An NRMSE denominator vanished: the spread is zero or below double precision.
 
     ``window`` is the 1-based cumulative-window index when the failure
     occurred inside a prefix computation, else ``None``.

@@ -126,8 +126,8 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
         where = f" in cumulative window {window}" if windowed else ""
         if den <= 0.0:
             raise DegenerateDataError(
-                f"zero NRMSE denominator{where}: the measured samples all "
-                f"equal the normalizing mean {ybar!r}",
+                f"zero NRMSE denominator{where}: the measured samples' spread about "
+                f"the normalizing mean {ybar!r} is zero or below double precision",
                 window=window,
             )
         # One square root of the ratio rounds twice, not three times; where

@@ -8,17 +8,32 @@ stdout/stderr can be asserted directly; one subprocess test covers the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from jerklab import MeanFrom, Method, Sign, SystemState, format_float, parse_trace
 from jerklab import cli
-from jerklab.cli import RunConfig, main
+from jerklab.cli import CompareConfig, SimulateConfig, main
 
 from conftest import mk_ts, run_python
+
+#: The config class of each command: the only keys its ``--config`` accepts.
+CONFIGS = {"simulate": SimulateConfig, "compare": CompareConfig,
+           "horizon": CompareConfig}
+#: A value other than the default for every key of each config class.
+OTHER_VALUES = {
+    SimulateConfig: {"a": 2.05, "sign": "plus", "ic": [0.0, 0.0, 0.2],
+                     "method": "euler", "step": 2e-3, "t_start": 0.5,
+                     "t_end": 3.0, "output_points": 31},
+    CompareConfig: {"grid_points": 51, "n_windows": 5, "threshold": 0.5,
+                    "mean_from": "measured"},
+}
 
 
 def run_cli(capsys, *argv):
@@ -650,15 +665,25 @@ class TestConfigFile:
         assert code == 1
         assert "cannot open config" in stderr
 
+    _TRACE_CASE = (
+        OTHER_VALUES[CompareConfig],
+        ["--grid-points", "51", "--windows", "5", "--threshold", "0.5",
+         "--nrmse-mean", "measured"],
+        CompareConfig(grid_points=51, n_windows=5, threshold=0.5,
+                      mean_from=MeanFrom.MEASURED))
+
     @pytest.mark.parametrize("command,doc,flags,want", [
         ("simulate",
-         {"sign": "plus", "method": "euler", "ic": [0.5, -1, 0.25]},
-         ["--sign", "plus", "--method", "euler", "--ic", "0.5,-1,0.25"],
-         RunConfig(sign=Sign.PLUS, method=Method.EULER,
-                   ic=SystemState(0.5, -1.0, 0.25))),
-        ("compare", {"mean_from": "measured"}, ["--nrmse-mean", "measured"],
-         RunConfig(mean_from=MeanFrom.MEASURED)),
-    ], ids=["simulate", "compare"])
+         {"a": 2.05, "sign": "plus", "method": "euler", "ic": [0.5, -1, 0.25],
+          "step": 2e-3, "t_end": 3.0, "output_points": 31},
+         ["--a", "2.05", "--sign", "plus", "--method", "euler",
+          "--ic", "0.5,-1,0.25", "--h", "0.002", "--t-end", "3", "--points", "31"],
+         SimulateConfig(a=2.05, sign=Sign.PLUS, method=Method.EULER,
+                        ic=SystemState(0.5, -1.0, 0.25), step=2e-3, t_end=3.0,
+                        output_points=31)),
+        ("compare", *_TRACE_CASE),
+        ("horizon", *_TRACE_CASE),
+    ], ids=["simulate", "compare", "horizon"])
     def test_config_file_and_flags_give_equal_run_configs(self, tmp_path, command,
                                                           doc, flags, want):
         cfg = tmp_path / "cfg.json"
@@ -666,16 +691,24 @@ class TestConfigFile:
         rest = (["--out", "x.csv"] if command == "simulate"
                 else ["--measured", "m.csv", "--candidate", "c=c.csv"])
         parse = cli._build_parser().parse_args
-        from_file = cli._merged_config(parse([command, "--config", str(cfg), *rest]))
-        from_flags = cli._merged_config(parse([command, *flags, *rest]))
+        merged = lambda argv: cli._merged_config(parse(argv), CONFIGS[command])
+        from_file = merged([command, "--config", str(cfg), *rest])
+        from_flags = merged([command, *flags, *rest])
         assert from_file == from_flags == want
 
     def test_run_config_holds_the_library_values(self):
-        d = RunConfig()
-        assert isinstance(d.sign, Sign)
-        assert isinstance(d.method, Method)
-        assert isinstance(d.mean_from, MeanFrom)
-        assert isinstance(d.ic, SystemState)
+        sim, comp = SimulateConfig(), CompareConfig()
+        assert isinstance(sim.sign, Sign)
+        assert isinstance(sim.method, Method)
+        assert isinstance(comp.mean_from, MeanFrom)
+        assert isinstance(sim.ic, SystemState)
+
+    def test_non_finite_flag_gets_the_config_wording(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(capsys, "simulate", "--a", "nan", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: a must be a finite number, got nan\n"
+        assert not out.exists()
 
     def test_config_ic_as_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -685,6 +718,75 @@ class TestConfigFile:
             capsys, "simulate", "--config", str(cfg),
             "--out", str(tmp_path / "x.csv"))
         assert code == 0
+
+
+def _config_run(capsys, trace_dir, command, doc):
+    """Run ``command`` with ``doc`` as its config file; its stdout and the
+    bytes of every file it writes."""
+    tmp_path, files = trace_dir
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    if command == "simulate":
+        rest, written = ["--out", str(tmp_path / "x.csv")], ["x.csv"]
+    else:
+        rest = ["--measured", files["measured"],
+                "--candidate", f"close={files['close']}",
+                "--candidate", f"rough={files['rough']}",
+                "--report", str(tmp_path / "r.json")]
+        written = ["r.json", "r_windows.csv"][:2 if command == "compare" else 1]
+    code, stdout, stderr = run_cli(capsys, command, "--config", str(cfg), *rest)
+    assert code == 0, stderr
+    return stdout, [(tmp_path / name).read_bytes() for name in written]
+
+
+class TestEveryAcceptedKeyIsRead:
+    """A command accepts a config key only if the key changes what it does."""
+
+    BASE = {"simulate": {"t_end": 2.0, "output_points": 21},
+            "compare": {"grid_points": 101}, "horizon": {"grid_points": 101}}
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_each_key_changes_the_output(self, capsys, trace_dir, command):
+        cls = CONFIGS[command]
+        other = OTHER_VALUES[cls]
+        assert list(other) == [f.name for f in dataclasses.fields(cls)]
+        base = self.BASE[command]
+        before = _config_run(capsys, trace_dir, command, base)
+        for key, value in other.items():
+            assert cli._field_value(cls, key, value) != getattr(cls(), key), key
+            assert value != base.get(key), key
+            after = _config_run(capsys, trace_dir, command, {**base, key: value})
+            assert after != before, key
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, cls in sorted(CONFIGS.items())
+        for other, values in OTHER_VALUES.items() if other is not cls
+        for key in values])
+    def test_key_of_another_command_refused(self, capsys, tmp_path, command,
+                                            key):
+        other = next(c for c in OTHER_VALUES if c is not CONFIGS[command])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: OTHER_VALUES[other][key]}))
+        missing = str(tmp_path / "nope.csv")  # read only after the config
+        rest = (["--out", str(tmp_path / "x.csv")] if command == "simulate"
+                else ["--measured", missing, "--candidate", f"a={missing}",
+                      "--report", str(tmp_path / "r.json")])
+        code, stdout, stderr = run_cli(capsys, command, "--config", str(cfg), *rest)
+        assert code == 2
+        assert stderr == f"error: config {cfg} has unknown keys: {key}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_readme_lists_each_commands_keys(self):
+        # README states which keys each command's config file accepts; it
+        # must name the fields of the config class, in order.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| `([\w, ]+)` \|$",
+                          readme.read_text(encoding="utf-8"), re.MULTILINE)
+        listed = {command.strip("`"): keys.split(", ")
+                  for commands, keys in rows for command in commands.split(", ")}
+        assert listed == {command: [f.name for f in dataclasses.fields(cls)]
+                          for command, cls in CONFIGS.items()}
 
 
 class TestModuleEntryPoint:
@@ -731,7 +833,7 @@ class TestHelpDefaults:
         options = _options(command)
         shown = {}
         for flag, field in self.FLAGS[command].items():
-            value = getattr(RunConfig(), field)
+            value = getattr(CONFIGS[command](), field)
             if isinstance(value, enum.Enum):
                 shown[flag] = value.name.lower()
             elif isinstance(value, SystemState):

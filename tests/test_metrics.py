@@ -467,6 +467,23 @@ class TestArrayPassesMatchTheLoop:
         assert _outcome(reference_prefix_scores, y, yhat, [8], mean_from,
                         False) == (DegenerateDataError, str(info.value), None)
 
+    def test_underflowing_spread_is_not_called_equal_samples(self):
+        # The samples differ; only their squared deviations underflow, so
+        # the message blames the spread, not equal samples.
+        y = mk_uniform([5e-324 * k for k in range(1, 9)])
+        yhat = mk_uniform([1e-310 * k for k in range(1, 9)])
+        spread = ("the measured samples' spread about the normalizing mean "
+                  "{} is zero or below double precision")
+        with pytest.raises(DegenerateDataError) as info:
+            nrmse(y, yhat)
+        assert str(info.value) == ("zero NRMSE denominator: "
+                                   + spread.format("4.5e-310"))
+        with pytest.raises(DegenerateDataError) as info:
+            cumulative_nrmse(y, yhat, n_windows=2)
+        assert str(info.value) == ("zero NRMSE denominator in cumulative "
+                                   "window 1: " + spread.format("2.5e-310"))
+        assert info.value.window == 1
+
     @staticmethod
     def _loop_partials(values):
         acc, partials = 0.0, []
