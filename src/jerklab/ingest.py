@@ -12,7 +12,17 @@ are read on one of two paths:
   ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
   only the header is decoded and the rows are read by one
   :func:`numpy.loadtxt` call. Within that alphabet it parses each cell as
-  ``float()`` does, bit for bit, and refuses the same cells;
+  ``float()`` does, bit for bit, and refuses the same cells. A body of at
+  least two shares of ``_SPLIT_FLOOR`` bytes is cut at line ends into one
+  share per usable CPU (fewer when it is shorter); a forked child parses
+  each share after the first with the same call while this process parses
+  the first, and the cells come back through pipes. loadtxt parses row by
+  row, so the joined cells have the bits of the single call, and one
+  :class:`TimeSeries` check covers the seams. A share that fails sends the
+  file to the scan. Without ``os.fork``, or while another Python thread
+  runs, the body is one share. Python 3.12 and later issue a
+  DeprecationWarning when a process that holds other OS threads forks (a
+  BLAS thread pool is one); the split is tested on Python 3.11 only;
 * the checked scan: any other file, and any file the gated read refuses or
   that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
   reported first), split into lines and read row by row with ``float()``
@@ -23,8 +33,11 @@ are read on one of two paths:
 
 from __future__ import annotations
 
+import gc
 import io
 import math
+import os
+import threading
 import warnings
 from itertools import islice
 from os import PathLike
@@ -42,6 +55,9 @@ from .series import SeriesMeta, TimeSeries, UniformSeries
 #: which sends the file to the scan.
 _NUMERIC = b"0123456789.eE+-\r\n"
 _BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
+#: The fewest body bytes the gated read gives one process: a body of
+#: k * _SPLIT_FLOOR bytes or more is parsed in up to k processes at once.
+_SPLIT_FLOOR = 750_000
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -80,6 +96,79 @@ def _header(header: str, line: int, source_id: str):
                                                     signal=fields[value_col])
 
 
+def _loadtxt(body: bytes, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
+    """The (time, value) cells of ``body`` as one n-by-2 array; a numpy
+    warning (e.g. "input contained no data") is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(io.BytesIO(body), delimiter=delimiter, usecols=cols,
+                          ndmin=2, comments=None, dtype=np.float64)
+
+
+def _cuts(body: bytes) -> list[int]:
+    """Offsets ``[0, ..., len(body)]`` that cut ``body`` after line ends into
+    about equal shares: one per usable CPU, none under :data:`_SPLIT_FLOOR`
+    bytes, and one share where ``os.fork`` is missing or another thread runs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    k = min(cpus, len(body) // _SPLIT_FLOOR)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        k = 1
+    cuts = [0]
+    for i in range(1, k):
+        end = body.find(b"\n", max(cuts[-1], len(body) * i // k - 1)) + 1
+        if cuts[-1] < end < len(body):
+            cuts.append(end)
+    cuts.append(len(body))
+    return cuts
+
+
+def _child(out, share: bytes, delimiter: str, cols: tuple[int, int]):
+    """In a forked child: write the cells of ``share`` to the pipe ``out``,
+    then end the process, with status 0 only when every cell was written.
+    Never returns into the caller's code and flushes no stdio buffer."""
+    gc.disable()  # a collection here could run finalizers of the parent's objects
+    status = 1
+    try:
+        out.write(_loadtxt(share, delimiter, cols).tobytes())
+        out.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _split_loadtxt(body: bytes, delimiter: str,
+                   cols: tuple[int, int]) -> np.ndarray:
+    """:func:`_loadtxt` of ``body``, with every share after the first parsed
+    in a forked child that sends its cells back through a pipe. Rows are
+    parsed one by one, so the cells are those of a single call. A child that
+    fails raises ValueError here."""
+    cuts = _cuts(body)
+    pids, pipes = [], []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:  # the parent's write end closes here
+                pid = os.fork()
+                if pid == 0:
+                    _child(out, body[lo:hi], delimiter, cols)
+            pids.append(pid)
+        cells = _loadtxt(body[:cuts[1]], delimiter, cols)
+        shares = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()  # a child still writing stops at a broken pipe
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise ValueError("a share of the body did not parse")
+    if not shares:
+        return cells
+    # A pipe cut short ends within a row, which frombuffer or reshape refuses.
+    return np.concatenate(
+        [cells, *(np.frombuffer(b, dtype=np.float64).reshape(-1, 2) for b in shares)])
+
+
 def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
     """The series the gated read makes of ``raw``, or None when the file is
     not in its layout or the read fails. Never raises."""
@@ -91,14 +180,11 @@ def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
         delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
         if body.translate(None, _NUMERIC + delimiter.encode()):
             return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            cells = np.loadtxt(io.BytesIO(body), delimiter=delimiter,
-                               usecols=cols, ndmin=2, comments=None,
-                               dtype=np.float64)
+        cells = _split_loadtxt(body, delimiter, cols)
         return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
-    # A UnicodeDecodeError and a ValidationError are ValueErrors.
-    except (ParseError, ValueError, Warning):
+    # A UnicodeDecodeError and a ValidationError are ValueErrors; an OSError
+    # is a pipe or a fork the system refused.
+    except (ParseError, ValueError, Warning, OSError):
         return None
 
 

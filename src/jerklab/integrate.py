@@ -165,7 +165,7 @@ def _channels(config: IntegratorConfig, dt_out: float, states,
     )
 
 
-def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
+def _fixed_states(config: IntegratorConfig, a: float, sf: float, dt_out: float):
     """Euler/RK4 states on the output grid, each one an actual solver state."""
     # Integer substep count per output interval; the 1e-12 slack keeps a
     # dt_out that is an exact multiple of the step from gaining a spare
@@ -178,7 +178,6 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
     n_sub = max(1, math.ceil(ratio - 1.0e-12))
     h = dt_out / n_sub
     kernel = _euler if config.method is Method.EULER else _rk4
-    a, sf = params.a, params.sign.value
 
     s = config.initial_state.as_tuple()
     yield s
@@ -197,9 +196,8 @@ def _fixed_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
         yield s
 
 
-def _rk45_states(config: IntegratorConfig, params: JerkParams, dt_out: float):
+def _rk45_states(config: IntegratorConfig, a: float, sf: float, dt_out: float):
     """Dormand–Prince states on the output grid, interpolated step by step."""
-    a, sf = params.a, params.sign.value
     t0, t_end, p = config.t_start, config.t_end, config.output_points
     t, y = t0, config.initial_state.as_tuple()
     k = 0
@@ -312,13 +310,19 @@ def simulate(config: IntegratorConfig, params: JerkParams | None = None,
 
     The output grid spans [t_start, t_end] inclusive of both endpoints.
     Repeated calls with identical inputs produce bit-identical results.
+    ``params`` is read once, for ``a`` and ``sign.value``; an object without
+    them raises :class:`~jerklab.errors.ValidationError`.
     """
     params = JerkParams() if params is None else params
+    try:
+        a, sf = params.a, params.sign.value
+    except AttributeError:
+        raise ValidationError(f"params must be a JerkParams, got {params!r}") from None
     dt_out = (config.t_end - config.t_start) / (config.output_points - 1)
     run = _rk45_states if config.method is Method.RK45 else _fixed_states
     states = []
     try:
-        for s in run(config, params, dt_out):
+        for s in run(config, a, sf, dt_out):
             states.append(s)
     except IntegrationOverflowError as exc:
         exc.partial = _channels(config, dt_out, states)

@@ -209,6 +209,15 @@ def rng() -> random.Random:
     return random.Random(20260822)
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """One item per ``os.fork`` call, such as the split trace read makes."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
 #: The model with its quadratic coefficient set to 0: the linear subsystem
 #: x''' = -a*x'' - x, whose closed-form solution the accuracy tests compare
 #: the integrators against. ``JerkParams`` admits only the signs -1 and +1, so

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 import warnings
 
 import numpy as np
@@ -549,3 +551,148 @@ class TestReferenceReader:
             at = data.index(b"\xff")
             assert str(info.value) == f"line 3: not valid UTF-8 at byte {at}"
             assert info.value.line == 3
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, count: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSplitRead:
+    """The gated read in several processes: a body of k shares of at least
+    ``_SPLIT_FLOOR`` bytes each is parsed in k processes at once."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_matches_reference_in_shares(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, cpus)
+        scans = []
+        scan = ingest._scan
+        monkeypatch.setattr(ingest, "_scan",
+                            lambda *args: scans.append(1) or scan(*args))
+        rng = random.Random(20261019 + cpus)
+        texts = [_fuzz_text(rng, *rng.choice(LAYOUTS)) for _ in range(300)]
+        split = split_series = 0
+        for text in texts + list(GATE_EDGES):
+            forked, scanned = len(forks), len(scans)
+            want = _outcome(_reference_auto, text)
+            assert _outcome(parse_trace, text) == want, text
+            _no_child_left()
+            split += len(forks) > forked
+            # A series read in shares, with no scan after it.
+            split_series += (len(forks) > forked and len(scans) == scanned
+                             and not isinstance(want[0], type))
+        assert split >= 50, split
+        assert split_series >= 25, split_series
+        # Under four CPUs, texts of three rows or more got three children.
+        assert (len(forks) > split) == (cpus == 4)
+
+    def test_cuts_are_line_ends(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 4)
+        _cpus(monkeypatch, 4)
+        body = b"0,1\n1,2\n2,3\n3,4\n4,5\n"
+        cuts = ingest._cuts(body)
+        assert cuts == [0, 8, 12, 16, 20]
+        assert all(body[c - 1:c] == b"\n" for c in cuts[1:])
+        # A body under two floors is one share, and no share is empty.
+        assert ingest._cuts(b"0,1\n1,2") == [0, 7]
+        assert ingest._cuts(b"0,1\n" + b"\n" * 12) == [0, 4, 8, 12, 16]
+        assert ingest._cuts(b"0,1,2,3,4,5,6,7,8\n") == [0, 18]
+
+    @pytest.mark.parametrize("fault,message", [
+        ("1,", "line 40: not a number: ''"),
+        ("1e", "line 40: not a number: '1e'"),
+        ("1e999", "line 40: non-finite value: '1e999'"),
+        ("0.5", "line 40: time not strictly increasing: 0.5 after 37.0"),
+    ])
+    def test_fault_in_the_last_share_names_its_line(self, monkeypatch, forks,
+                                                     fault, message):
+        # Rows 0..37 are clean; the last row (line 40), in the last of four
+        # shares, holds a bad cell or steps back in time.
+        text = "t,v\n" + "".join(f"{k},{k % 7}\n" for k in range(38)) + f"{fault},2\n"
+        with pytest.raises(ParseError) as one:
+            parse_trace(text)
+        assert not forks
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 40)
+        _cpus(monkeypatch, 4)
+        body = text.encode().partition(b"\n")[2]
+        assert ingest._cuts(body)[-2] < body.index(f"{fault},2".encode())
+        with pytest.raises(ParseError) as split:
+            parse_trace(text)
+        assert len(forks) == 3
+        assert str(split.value) == str(one.value) == message
+        assert split.value.line == one.value.line == 40
+        _no_child_left()
+
+    def test_fault_in_the_parent_share_leaves_no_child(self, monkeypatch, forks):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ParseError) as info:
+            parse_trace("t,v\n0,\n1,2\n2,3\n3,4\n")
+        assert str(info.value) == "line 2: not a number: ''"
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_file_above_the_floor_forks(self, tmp_path, monkeypatch, forks,
+                                        no_scan):
+        # The real floor: a body of two floors is read in two processes, and
+        # to the same bits as in one, with no scan.
+        _cpus(monkeypatch, 2)
+        rows = 2 * ingest._SPLIT_FLOOR // 20 + 1
+        t = [k * 1e-3 for k in range(rows)]
+        v = [math.sin(0.37 * k) for k in range(rows)]
+        path = tmp_path / "capture.csv"
+        path.write_bytes(write_series_csv(mk_ts(t, v)))
+        assert path.stat().st_size > 2 * ingest._SPLIT_FLOOR
+        split = load_trace(path)
+        assert len(forks) == 1
+        _no_child_left()
+        _cpus(monkeypatch, 1)
+        one = load_trace(path)
+        assert len(forks) == 1
+        assert split.t.tobytes() == one.t.tobytes() == np.array(t).tobytes()
+        assert split.v.tobytes() == one.v.tobytes() == np.array(v).tobytes()
+        # Half the body is one share on any number of CPUs.
+        _cpus(monkeypatch, 8)
+        half = b"t,v\n" + path.read_bytes().split(b"\n", 1)[1][:ingest._SPLIT_FLOOR]
+        parse_trace(half[:half.rindex(b"\n") + 1])
+        assert len(forks) == 1
+
+    def test_one_process_without_fork_or_beside_a_thread(self, monkeypatch, forks):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 2)
+        text = "t,v\n0,1\n1,2\n2,3\n"
+        want = _outcome(parse_trace, text)
+        assert len(forks) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _outcome(parse_trace, text) == want
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert _outcome(parse_trace, text) == want
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("text", ["t,v\n0,1\n1,2\n2,3\n",  # clean
+                                      "t,v\n0,1\n\n\n\n\n",  # an empty share
+                                      "t,v\n0,1\n1,2\n2,\n"])  # a bad cell
+    def test_no_warning_escapes(self, monkeypatch, forks, text):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _outcome(parse_trace, text)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert _outcome(parse_trace, text) == want
+        assert shown == []
+        assert forks
+        _no_child_left()

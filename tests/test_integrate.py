@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ class TestConfigValidation:
     def test_rejects_method_name(self):
         with pytest.raises(ValidationError, match="method must be a Method, got 'rk4'"):
             IntegratorConfig(method="rk4")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_rejects_params_without_the_model_attributes(self, method):
+        config = IntegratorConfig(method=method, t_end=1.0, output_points=3)
+        for params, text in (("x", "'x'"), (object, "<class 'object'>"),
+                             (SimpleNamespace(a=2.03), "namespace(a=2.03)")):
+            with pytest.raises(ValidationError) as info:
+                simulate(config, params)  # type: ignore[arg-type]
+            assert str(info.value) == f"params must be a JerkParams, got {text}"
+        # The linear-subsystem stand-in carries both attributes and runs.
+        res = simulate(config, conftest.LINEAR_PARAMS)
+        assert res.x.values.tolist() != simulate(config, JerkParams()).x.values.tolist()
 
     def test_method_parse(self):
         assert Method.parse("rk4") is Method.RK4
