@@ -12,17 +12,19 @@ are read on one of two paths:
   ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
   only the header is decoded and the rows are read by one
   :func:`numpy.loadtxt` call. Within that alphabet it parses each cell as
-  ``float()`` does, bit for bit, and refuses the same cells. A body of at
-  least two shares of ``_SPLIT_FLOOR`` bytes is cut at line ends into one
-  share per usable CPU (fewer when it is shorter); a forked child parses
-  each share after the first with the same call while this process parses
-  the first, and the cells come back through pipes. loadtxt parses row by
-  row, so the joined cells have the bits of the single call, and one
-  :class:`TimeSeries` check covers the seams. A share that fails sends the
-  file to the scan. Without ``os.fork``, or while another Python thread
-  runs, the body is one share. Python 3.12 and later issue a
-  DeprecationWarning when a process that holds other OS threads forks (a
-  BLAS thread pool is one); the split is tested on Python 3.11 only;
+  ``float()`` does, bit for bit, and refuses the same cells. The check and
+  the call read the file's bytes in place, by offset, so the read holds no
+  copy of the body. A body of at least two shares of ``_SPLIT_FLOOR`` bytes
+  is cut at line ends into one share per usable CPU (fewer when it is
+  shorter); a forked child slices out and parses each share after the first
+  with the same call while this process parses the first, and the cells
+  come back through pipes. loadtxt parses row by row, so the joined cells
+  have the bits of the single call, and one :class:`TimeSeries` check
+  covers the seams. A share that fails sends the file to the scan. Without
+  ``os.fork``, or while another Python thread runs, the body is one share.
+  Python 3.12 and later issue a DeprecationWarning when a process that
+  holds other OS threads forks (a BLAS thread pool is one); the split is
+  tested on Python 3.11 only;
 * the checked scan: any other file, and any file the gated read refuses or
   that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
   reported first), split into lines and read row by row with ``float()``
@@ -96,30 +98,33 @@ def _header(header: str, line: int, source_id: str):
                                                     signal=fields[value_col])
 
 
-def _loadtxt(body: bytes, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
-    """The (time, value) cells of ``body`` as one n-by-2 array; a numpy
-    warning (e.g. "input contained no data") is raised."""
+def _loadtxt(lines, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
+    """The (time, value) cells of the byte ``lines`` (a binary file or an
+    iterator of its lines) as one n-by-2 array; a numpy warning (e.g. "input
+    contained no data") is raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(io.BytesIO(body), delimiter=delimiter, usecols=cols,
+        return np.loadtxt(lines, delimiter=delimiter, usecols=cols,
                           ndmin=2, comments=None, dtype=np.float64)
 
 
-def _cuts(body: bytes) -> list[int]:
-    """Offsets ``[0, ..., len(body)]`` that cut ``body`` after line ends into
-    about equal shares: one per usable CPU, none under :data:`_SPLIT_FLOOR`
-    bytes, and one share where ``os.fork`` is missing or another thread runs."""
+def _cuts(raw: bytes, start: int) -> list[int]:
+    """Offsets ``[start, ..., len(raw)]`` that cut the body ``raw[start:]``
+    after line ends into about equal shares: one per usable CPU, none under
+    :data:`_SPLIT_FLOOR` bytes, and one share where ``os.fork`` is missing or
+    another thread runs."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    k = min(cpus, len(body) // _SPLIT_FLOOR)
+    size = len(raw) - start
+    k = min(cpus, size // _SPLIT_FLOOR)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         k = 1
-    cuts = [0]
+    cuts = [start]
     for i in range(1, k):
-        end = body.find(b"\n", max(cuts[-1], len(body) * i // k - 1)) + 1
-        if cuts[-1] < end < len(body):
+        end = raw.find(b"\n", max(cuts[-1], start + size * i // k - 1)) + 1
+        if cuts[-1] < end < len(raw):
             cuts.append(end)
-    cuts.append(len(body))
+    cuts.append(len(raw))
     return cuts
 
 
@@ -130,20 +135,21 @@ def _child(out, share: bytes, delimiter: str, cols: tuple[int, int]):
     gc.disable()  # a collection here could run finalizers of the parent's objects
     status = 1
     try:
-        out.write(_loadtxt(share, delimiter, cols).tobytes())
+        out.write(_loadtxt(io.BytesIO(share), delimiter, cols).tobytes())
         out.close()
         status = 0
     finally:
         os._exit(status)
 
 
-def _split_loadtxt(body: bytes, delimiter: str,
+def _split_loadtxt(raw: bytes, start: int, delimiter: str,
                    cols: tuple[int, int]) -> np.ndarray:
-    """:func:`_loadtxt` of ``body``, with every share after the first parsed
-    in a forked child that sends its cells back through a pipe. Rows are
-    parsed one by one, so the cells are those of a single call. A child that
-    fails raises ValueError here."""
-    cuts = _cuts(body)
+    """The cells of the body ``raw[start:]`` below the header line, read in
+    place: the first share straight from ``raw``, every later one in a forked
+    child that slices it from ``raw`` and sends its cells back through a
+    pipe. Rows are parsed one by one, so the cells are those of a single
+    call. A child that fails raises ValueError here."""
+    cuts = _cuts(raw, start)
     pids, pipes = [], []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
@@ -152,9 +158,17 @@ def _split_loadtxt(body: bytes, delimiter: str,
             with open(w, "wb") as out:  # the parent's write end closes here
                 pid = os.fork()
                 if pid == 0:
-                    _child(out, body[lo:hi], delimiter, cols)
+                    # Holding no read end, a child whose pipe the parent
+                    # closed unread stops at a broken pipe, not a full one.
+                    for pipe in pipes:
+                        pipe.close()
+                    _child(out, raw[lo:hi], delimiter, cols)
             pids.append(pid)
-        cells = _loadtxt(body[:cuts[1]], delimiter, cols)
+        lines = io.BytesIO(raw)  # shares raw's buffer until written to
+        lines.seek(start)
+        if pids:  # the first share's lines, each ended by a line feed
+            lines = islice(lines, raw.count(b"\n", start, cuts[1]))
+        cells = _loadtxt(lines, delimiter, cols)
         shares = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -172,15 +186,19 @@ def _split_loadtxt(body: bytes, delimiter: str,
 def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
     """The series the gated read makes of ``raw``, or None when the file is
     not in its layout or the read fails. Never raises."""
-    head, _, body = raw.partition(b"\n")
+    start = raw.find(b"\n") + 1  # 0 without a line end: no header, no read
+    head = raw[:start]
     try:
         header = head.decode("utf-8").removeprefix(_BOM).splitlines()
         if len(header) != 1 or not header[0].strip():
             return None
         delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
-        if body.translate(None, _NUMERIC + delimiter.encode()):
+        # The bytes the alphabet leaves of the file are those it leaves of
+        # the header, then those of the body: a body in the alphabet leaves none.
+        allowed = _NUMERIC + delimiter.encode()
+        if len(raw.translate(None, allowed)) != len(head.translate(None, allowed)):
             return None
-        cells = _split_loadtxt(body, delimiter, cols)
+        cells = _split_loadtxt(raw, start, delimiter, cols)
         return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
     # A UnicodeDecodeError and a ValidationError are ValueErrors; an OSError
     # is a pipe or a fork the system refused.

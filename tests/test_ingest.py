@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import os
 import random
+import signal
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +297,19 @@ class TestGatedRead:
                 assert s.v.tobytes() == np.array(v).tobytes()
                 assert s.meta.signal == signal
 
+    @pytest.mark.parametrize("text", [
+        "t,v\n 0,1\n1,2\n",  # a space, which loadtxt and the scan both take
+        "t,v\n0,1\nv,2\n",  # a byte of the header
+        "\ufefft,v\n0,1\n1,\ufeff2\n",  # the header's byte-order mark
+        "time\tV(x)\n0\t1\n1\t2,\n",  # the other format's delimiter
+        "t,v\n0,1\n1,2\t",
+    ])
+    def test_a_byte_outside_the_gate_skips_loadtxt(self, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loadtxt read a body outside the gate")
+        monkeypatch.setattr(ingest, "_loadtxt", refuse)
+        assert _outcome(parse_trace, text) == _outcome(_reference_auto, text)
+
     @pytest.mark.parametrize("data", [b"t,v\n", b"t,v", b"t,v\n\n\n",
                                       b"time\tV(x)\n", b"t,v\n0,1\n"])
     def test_no_warning_escapes(self, data):
@@ -497,6 +512,11 @@ GATE_EDGES = (
     "t,v\n\r\n0,1\n\r1,2\n",
     "t,v\n0,1\n1,2\r",
     "time\tV(x)\r\n0\t1\r\n1\t2\t\r\n",
+    "t,v",  # a header with no line end
+    "t,v\nx0,1\n1,2\n",  # a byte outside the gate, first or last in the body
+    "t,v\n0,1\n1,2x",
+    "t,v\n0,1\nv,2\n",  # a byte the header holds, in the body
+    "\ufefft,v\r\n0,1\r\n1,2\r\n",  # a byte-order mark and a CRLF header
 )
 
 
@@ -595,13 +615,17 @@ class TestSplitRead:
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 4)
         _cpus(monkeypatch, 4)
         body = b"0,1\n1,2\n2,3\n3,4\n4,5\n"
-        cuts = ingest._cuts(body)
+        cuts = ingest._cuts(body, 0)
         assert cuts == [0, 8, 12, 16, 20]
         assert all(body[c - 1:c] == b"\n" for c in cuts[1:])
         # A body under two floors is one share, and no share is empty.
-        assert ingest._cuts(b"0,1\n1,2") == [0, 7]
-        assert ingest._cuts(b"0,1\n" + b"\n" * 12) == [0, 4, 8, 12, 16]
-        assert ingest._cuts(b"0,1,2,3,4,5,6,7,8\n") == [0, 18]
+        assert ingest._cuts(b"0,1\n1,2", 0) == [0, 7]
+        assert ingest._cuts(b"0,1\n" + b"\n" * 12, 0) == [0, 4, 8, 12, 16]
+        assert ingest._cuts(b"0,1,2,3,4,5,6,7,8\n", 0) == [0, 18]
+        # Below a header the offsets are those of the file, shifted by the
+        # header, and the header's length counts toward no share.
+        assert ingest._cuts(b"time,xdd\n" + body, 9) == [c + 9 for c in cuts]
+        assert ingest._cuts(b"t,v\n0,1\n1,2", 4) == [4, 11]
 
     @pytest.mark.parametrize("fault,message", [
         ("1,", "line 40: not a number: ''"),
@@ -619,8 +643,9 @@ class TestSplitRead:
         assert not forks
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 40)
         _cpus(monkeypatch, 4)
-        body = text.encode().partition(b"\n")[2]
-        assert ingest._cuts(body)[-2] < body.index(f"{fault},2".encode())
+        raw = text.encode()
+        cuts = ingest._cuts(raw, raw.index(b"\n") + 1)
+        assert cuts[-2] < raw.index(f"{fault},2".encode())
         with pytest.raises(ParseError) as split:
             parse_trace(text)
         assert len(forks) == 3
@@ -635,6 +660,42 @@ class TestSplitRead:
             parse_trace("t,v\n0,\n1,2\n2,3\n3,4\n")
         assert str(info.value) == "line 2: not a number: ''"
         assert len(forks) == 1
+        _no_child_left()
+
+    def test_fault_in_the_parent_share_ends_a_child_with_a_full_pipe(
+            self, monkeypatch):
+        # The child's cells overflow its pipe's buffer (64 KiB on Linux).
+        # When the parent's share fails, the parent closes the pipe unread,
+        # and the child must stop at a broken pipe, not wait to write.
+        pids, hung = [], []
+        fork = os.fork
+
+        def record():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def stuck(signum, frame):
+            hung.append(1)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+
+        monkeypatch.setattr(os, "fork", record)
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100_000)
+        _cpus(monkeypatch, 2)
+        text = "t,v\n0,\n" + "".join(f"{k},{k % 7}\n" for k in range(1, 40_000))
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_trace(text)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(info.value) == "line 2: not a number: ''"
+        assert len(pids) == 1
+        assert not hung
         _no_child_left()
 
     def test_file_above_the_floor_forks(self, tmp_path, monkeypatch, forks,
@@ -661,6 +722,29 @@ class TestSplitRead:
         half = b"t,v\n" + path.read_bytes().split(b"\n", 1)[1][:ingest._SPLIT_FLOOR]
         parse_trace(half[:half.rindex(b"\n") + 1])
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_reads_the_file_in_place(self, monkeypatch, forks, no_scan, cpus):
+        # No copy of the body is made, which would add 1.0x. The peak is the
+        # buffer bytes.translate sizes to the file (1.0x, never written for a
+        # clean body), then the cells and the series, 32 bytes a row against
+        # about 38 in a row of the benchmark captures' layout.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100_000)
+        _cpus(monkeypatch, cpus)
+        rng = random.Random(20261020)
+        raw = ("time,xdd\n" + "".join(
+            f"{k * 1e-3 + rng.uniform(-1e-4, 1e-4)!r},{rng.gauss(0.0, 1.0)!r}\n"
+            for k in range(20_000))).encode()
+        tracemalloc.start()
+        try:
+            series = parse_trace(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 20_000
+        assert len(forks) == cpus - 1
+        _no_child_left()
+        assert peak < 1.25 * len(raw), peak / len(raw)
 
     def test_one_process_without_fork_or_beside_a_thread(self, monkeypatch, forks):
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
