@@ -149,9 +149,9 @@ def _build_report(args: argparse.Namespace, cfg: CompareConfig):
         name, sep, path = spec_text.partition("=")
         if not sep or not name or not path:
             raise ValidationError(f"--candidate expects NAME=FILE, got {spec_text!r}")
-        if set(name) & set(",\r\n"):  # the name heads a windows CSV column
-            raise ValidationError(f"--candidate NAME may not hold a comma or "
-                                  f"line break, got {spec_text!r}")
+        if set(name) & set(',"\r\n'):  # the name heads a windows CSV column
+            raise ValidationError(f"--candidate NAME may not hold a comma, double "
+                                  f"quote or line break, got {spec_text!r}")
         if name == _BOUNDARY_COLUMN:
             raise ValidationError(f"--candidate NAME may not be the windows CSV's "
                                   f"first column {name!r}, got {spec_text!r}")

@@ -16,12 +16,13 @@ are read on one of two paths:
   the call read the file's bytes in place, by offset, so the read holds no
   copy of the body. A body of at least two shares of ``_SPLIT_FLOOR`` bytes
   is cut at line ends into one share per usable CPU (fewer when it is
-  shorter); a forked child slices out and parses each share after the first
-  with the same call while this process parses the first, and the cells
-  come back through pipes. loadtxt parses row by row, so the joined cells
-  have the bits of the single call, and one :class:`TimeSeries` check
-  covers the seams. A share that fails sends the file to the scan. Without
-  ``os.fork``, or while another Python thread runs, the body is one share.
+  shorter). Forked children parse the first shares with the same call and
+  send the cells back through pipes; this process parses the rest: the
+  last share, or every share from a pipe or fork the system refuses. loadtxt
+  parses row by row, so the joined cells have the bits of the single call,
+  and one :class:`TimeSeries` check covers the seams. A share that fails
+  sends the file to the scan. Without ``os.fork``, beside another Python
+  thread or with SIGCHLD ignored (no child status), the body is one share.
   Python 3.12 and later issue a DeprecationWarning when a process that
   holds other OS threads forks (a BLAS thread pool is one); the split is
   tested on Python 3.11 only;
@@ -35,10 +36,12 @@ are read on one of two paths:
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
 import math
 import os
+import signal
 import threading
 import warnings
 from itertools import islice
@@ -111,13 +114,14 @@ def _loadtxt(lines, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
 def _cuts(raw: bytes, start: int) -> list[int]:
     """Offsets ``[start, ..., len(raw)]`` that cut the body ``raw[start:]``
     after line ends into about equal shares: one per usable CPU, none under
-    :data:`_SPLIT_FLOOR` bytes, and one share where ``os.fork`` is missing or
-    another thread runs."""
+    :data:`_SPLIT_FLOOR` bytes, and one share where ``os.fork`` is missing,
+    another thread runs or SIGCHLD is ignored."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = len(raw) - start
     k = min(cpus, size // _SPLIT_FLOOR)
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
         k = 1
     cuts = [start]
     for i in range(1, k):
@@ -145,29 +149,26 @@ def _child(out, share: bytes, delimiter: str, cols: tuple[int, int]):
 def _split_loadtxt(raw: bytes, start: int, delimiter: str,
                    cols: tuple[int, int]) -> np.ndarray:
     """The cells of the body ``raw[start:]`` below the header line, read in
-    place: the first share straight from ``raw``, every later one in a forked
-    child that slices it from ``raw`` and sends its cells back through a
-    pipe. Rows are parsed one by one, so the cells are those of a single
-    call. A child that fails raises ValueError here."""
+    place: forked children parse the first shares, this process the rest of
+    the body. A child that fails raises ValueError here."""
     cuts = _cuts(raw, start)
     pids, pipes = [], []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as out:  # the parent's write end closes here
-                pid = os.fork()
-                if pid == 0:
-                    # Holding no read end, a child whose pipe the parent
-                    # closed unread stops at a broken pipe, not a full one.
-                    for pipe in pipes:
-                        pipe.close()
-                    _child(out, raw[lo:hi], delimiter, cols)
-            pids.append(pid)
+        with contextlib.suppress(OSError):  # a refused pipe or fork
+            for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))  # reads b"" if the fork is refused
+                with open(w, "wb") as out:  # the parent's write end closes here
+                    pid = os.fork()
+                    if pid == 0:
+                        # Holding no read end, a child whose pipe the parent
+                        # closed unread stops at a broken pipe, not a full one.
+                        for pipe in pipes:
+                            pipe.close()
+                        _child(out, raw[lo:hi], delimiter, cols)
+                pids.append(pid)
         lines = io.BytesIO(raw)  # shares raw's buffer until written to
-        lines.seek(start)
-        if pids:  # the first share's lines, each ended by a line feed
-            lines = islice(lines, raw.count(b"\n", start, cuts[1]))
+        lines.seek(cuts[len(pids)])
         cells = _loadtxt(lines, delimiter, cols)
         shares = [pipe.read() for pipe in pipes]
     finally:
@@ -180,7 +181,7 @@ def _split_loadtxt(raw: bytes, start: int, delimiter: str,
         return cells
     # A pipe cut short ends within a row, which frombuffer or reshape refuses.
     return np.concatenate(
-        [cells, *(np.frombuffer(b, dtype=np.float64).reshape(-1, 2) for b in shares)])
+        [*(np.frombuffer(b, dtype=np.float64).reshape(-1, 2) for b in shares), cells])
 
 
 def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
@@ -200,9 +201,7 @@ def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
             return None
         cells = _split_loadtxt(raw, start, delimiter, cols)
         return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
-    # A UnicodeDecodeError and a ValidationError are ValueErrors; an OSError
-    # is a pipe or a fork the system refused.
-    except (ParseError, ValueError, Warning, OSError):
+    except (ParseError, ValueError, Warning):
         return None
 
 

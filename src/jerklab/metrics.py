@@ -98,10 +98,10 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
     compensation and ``ybar_k`` comes from the compensated running sum of
     ``y``; both parts are non-negative, so nothing cancels. Every running sum
     is a sequential array pass (see :func:`_running_sum`), so the bits are
-    those of one loop over the samples; only the boundary values are scored
-    in Python. Boundaries are 1-based, strictly increasing and at most the
-    series length; a zero denominator or a score that overflows raises,
-    naming the 1-based window when ``windowed``.
+    those of one loop over the samples; the boundary values are scored in
+    whole-array steps. Boundaries are 1-based, strictly increasing and at
+    most the series length; a zero denominator or a score that overflows
+    raises, naming the 1-based window when ``windowed``.
     """
     from_sim = mean_from is MeanFrom.SIMULATED
     ends = list(boundaries)
@@ -109,42 +109,38 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
     y = np.asarray(y, dtype=float)[:last]
     yhat = np.asarray(yhat, dtype=float)[:last]
     at = np.array(ends) - 1
-    # Overflow and inf - inf follow IEEE here; the scalar checks below raise.
+    # Overflow and inf - inf follow IEEE here; the checks below raise.
     with np.errstate(all="ignore"):
         means = _running_sum(y) / np.arange(1.0, last + 1)
         prev = np.concatenate(([0.0], means[:-1]))  # its factor vanishes at k = 1
-        dens = _running_sum((y - prev) * (y - means))[at].tolist()
-        nums = _running_sum(np.square(y - yhat))[at].tolist()
-        means = means[at].tolist()
-        ybars = ((_running_sum(yhat)[at] / (at + 1)).tolist() if from_sim
-                 else means)
-    scores = []
-    for n, mean, ybar, den, num in zip(ends, means, ybars, dens, nums):
+        dens = _running_sum((y - prev) * (y - means))[at]
+        nums = _running_sum(np.square(y - yhat))[at]
+        means = means[at]
+        ybars = _running_sum(yhat)[at] / (at + 1) if from_sim else means
         if from_sim:
-            den += n * ((mean - ybar) * (mean - ybar))
-        window = len(scores) + 1 if windowed else None
-        where = f" in cumulative window {window}" if windowed else ""
-        if den <= 0.0:
-            raise DegenerateDataError(
-                f"zero NRMSE denominator{where}: the measured samples' spread about "
-                f"the normalizing mean {ybar!r} is zero or below double precision",
-                window=window,
-            )
+            dens += (at + 1) * ((means - ybars) * (means - ybars))
         # One square root of the ratio rounds twice, not three times; where
         # the ratio overflows or is subnormal, each sum takes its own root.
         # Identical prefixes score 0, even where their spread overflows.
-        ratio = num / den
-        if not num:
-            score = 0.0
-        elif sys.float_info.min <= ratio < math.inf:
-            score = math.sqrt(ratio)
-        else:
-            score = math.sqrt(num) / math.sqrt(den)
-        if not math.isfinite(score):
-            raise DataError(f"NRMSE{where} is not finite: the samples are too "
-                            "large to square in double precision")
-        scores.append(score)
-    return scores
+        ratios = nums / dens
+        scores = np.where((sys.float_info.min <= ratios) & (ratios < np.inf),
+                          np.sqrt(ratios), np.sqrt(nums) / np.sqrt(dens))
+        scores[nums == 0.0] = 0.0
+    # The first window at fault raises, a zero denominator before a score.
+    bad = (dens <= 0.0) | ~np.isfinite(scores)
+    if bad.any():
+        j = int(bad.argmax())
+        window = j + 1 if windowed else None
+        where = f" in cumulative window {window}" if windowed else ""
+        if dens[j] <= 0.0:
+            raise DegenerateDataError(
+                f"zero NRMSE denominator{where}: the measured samples' spread about "
+                f"the normalizing mean {ybars[j].item()!r} is zero or below double "
+                "precision", window=window,
+            )
+        raise DataError(f"NRMSE{where} is not finite: the samples are too "
+                        "large to square in double precision")
+    return scores.tolist()
 
 
 def nrmse(measured: UniformSeries, simulated: UniformSeries,

@@ -276,7 +276,7 @@ class TestCompare:
         assert code == 2
         assert "duplicate" in stderr
 
-    @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", ","])
+    @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", ",", '"q'])
     def test_candidate_name_that_would_split_a_csv_cell(self, capsys, tmp_path,
                                                         name):
         # Every spec is checked before any trace is read: the measured file
@@ -288,8 +288,8 @@ class TestCompare:
             "--candidate", f"c={ghost}", "--candidate", spec,
             "--report", str(tmp_path / "r.json"))
         assert code == 2
-        assert stderr == ("error: --candidate NAME may not hold a comma or "
-                          f"line break, got {spec!r}\n")
+        assert stderr == ("error: --candidate NAME may not hold a comma, double "
+                          f"quote or line break, got {spec!r}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["compare", "horizon"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import random
@@ -654,19 +655,25 @@ class TestSplitRead:
         _no_child_left()
 
     def test_fault_in_the_parent_share_leaves_no_child(self, monkeypatch, forks):
+        # This process parses the last share, which holds the bad cell.
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
         _cpus(monkeypatch, 2)
+        text = "t,v\n0,1\n1,2\n2,3\n3,\n"
+        raw = text.encode()
+        assert ingest._cuts(raw, 4)[-2] <= raw.index(b"3,\n")
         with pytest.raises(ParseError) as info:
-            parse_trace("t,v\n0,\n1,2\n2,3\n3,4\n")
-        assert str(info.value) == "line 2: not a number: ''"
+            parse_trace(text)
+        assert str(info.value) == "line 5: not a number: ''"
+        assert info.value.line == 5
         assert len(forks) == 1
         _no_child_left()
 
     def test_fault_in_the_parent_share_ends_a_child_with_a_full_pipe(
             self, monkeypatch):
         # The child's cells overflow its pipe's buffer (64 KiB on Linux).
-        # When the parent's share fails, the parent closes the pipe unread,
-        # and the child must stop at a broken pipe, not wait to write.
+        # When the parent's share, the last, fails on its last row, the
+        # parent closes the pipe unread, and the child must stop at a broken
+        # pipe, not wait to write.
         pids, hung = [], []
         fork = os.fork
 
@@ -684,7 +691,10 @@ class TestSplitRead:
         monkeypatch.setattr(os, "fork", record)
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100_000)
         _cpus(monkeypatch, 2)
-        text = "t,v\n0,\n" + "".join(f"{k},{k % 7}\n" for k in range(1, 40_000))
+        text = "t,v\n" + "".join(f"{k},{k % 7}\n" for k in range(39_999)) + "39999,\n"
+        raw = text.encode()
+        cuts = ingest._cuts(raw, 4)
+        assert len(cuts) == 3 and 16 * raw.count(b"\n", 4, cuts[1]) > 65_536
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(20)
         try:
@@ -693,9 +703,38 @@ class TestSplitRead:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert str(info.value) == "line 2: not a number: ''"
+        assert str(info.value) == "line 40001: not a number: ''"
+        assert info.value.line == 40_001
         assert len(pids) == 1
         assert not hung
+        _no_child_left()
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    @pytest.mark.parametrize("refused", [0, 1], ids=["first-child", "later-child"])
+    def test_refused_pipe_or_fork_leaves_the_rest_to_this_process(
+            self, monkeypatch, forks, no_scan, call, refused):
+        # Four shares: the children before the refused call parse theirs,
+        # and this process parses every share from the refused one on.
+        rng = random.Random(20261021)
+        text = "t,v\n" + "".join(f"{k + rng.random()!r},{rng.gauss(0, 1)!r}\n"
+                                 for k in range(40))
+        want = _outcome(parse_trace, text)
+        assert not forks and not isinstance(want[0], type)
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
+        _cpus(monkeypatch, 4)
+        assert len(ingest._cuts(text.encode(), 4)) == 5
+        made = []
+        real = getattr(os, call)
+
+        def refuse():
+            if len(made) == refused:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            made.append(1)
+            return real()
+
+        monkeypatch.setattr(os, call, refuse)
+        assert _outcome(parse_trace, text) == want
+        assert len(forks) == refused
         _no_child_left()
 
     def test_file_above_the_floor_forks(self, tmp_path, monkeypatch, forks,
@@ -761,6 +800,12 @@ class TestSplitRead:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        # With SIGCHLD ignored, the system reaps a child and its status with it.
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert _outcome(parse_trace, text) == want
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
         monkeypatch.delattr(os, "fork")
         assert _outcome(parse_trace, text) == want
         assert len(forks) == 1
