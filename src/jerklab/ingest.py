@@ -281,9 +281,13 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
         raise ValidationError(
             f"expected a TimeSeries or UniformSeries, got {type(series).__name__}"
         )
-    lines = ["t,v"]
-    lines.extend(f"{format_float(t)},{format_float(v)}" for t, v in pairs)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    text = "".join(["t,v\n", *[f"{t!r},{v!r}\n" for t, v in pairs]])
+    # Only an integral value's repr ends in ".0", and every cell ends at a
+    # comma or a newline: dropping ".0" there is format_float on each cell.
+    # One copy per statement: no more than two copies of the text at once.
+    text = text.replace(".0,", ",")
+    text = text.replace(".0\n", "\n")
+    return text.encode("utf-8")
 
 
 def load_trace(path: str | PathLike, *,

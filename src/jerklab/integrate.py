@@ -17,7 +17,9 @@ is ``s + (...)``, so a non-finite one never turns finite again. A failed
 interval is replayed one substep at a time to find its last finite substep.
 The Euler and RK4 kernels evaluate the jerk inline at each stage, in the
 operation order of :func:`~jerklab.core._rhs`, so a substep makes no call
-and builds no tuple.
+and builds no tuple. They negate ``a`` once per call, not once per stage:
+``(-a) * xdd`` is ``-(a * xdd)`` bit for bit, since rounding to nearest is
+symmetric about zero.
 
 The adaptive method (Dormand–Prince 4(5), first same as last: six right-hand
 side evaluations per attempted step) uses the requested step as the initial
@@ -36,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -111,34 +114,39 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 # Step kernels: n substeps per call on bare floats, so the fixed-step loop pays
 # one call per output interval and no containers. Each stage writes out the
-# jerk of core._rhs, -(a * xdd) - x + sf * (xd * xd), in its operation order;
-# the derivatives of x and xd are the stage's xd and xdd themselves. The
-# tests pin both kernels to textbook steps built from core._rhs, bit for bit.
-# Stage order is fixed; changing it changes last-ulp results.
+# jerk of core._rhs, -(a * xdd) - x + sf * (xd * xd), in its operation order,
+# as na * xdd - x + sf * (xd * xd) with na = -a taken once per call: IEEE 754
+# rounding to nearest is symmetric, so (-a) * xdd is -(a * xdd) bit for bit
+# (for an array a too, elementwise). The derivatives of x and xd are the
+# stage's xd and xdd themselves. The tests pin both kernels to textbook steps
+# built from core._rhs, bit for bit. Stage order is fixed; changing it changes
+# last-ulp results.
 
 def _euler(x, xd, xdd, h, a, sf, n):
+    na = -a
     for _ in range(n):
         x, xd, xdd = (x + h * xd, xd + h * xdd,
-                      xdd + h * (-(a * xdd) - x + sf * (xd * xd)))
+                      xdd + h * (na * xdd - x + sf * (xd * xd)))
     return x, xd, xdd
 
 
 def _rk4(x, xd, xdd, h, a, sf, n):
     hh = 0.5 * h  # x + 0.5*h*k parses as x + (0.5*h)*k
+    na = -a
     for _ in range(n):
-        r1 = -(a * xdd) - x + sf * (xd * xd)
+        r1 = na * xdd - x + sf * (xd * xd)
         x2 = x + hh * xd
         xd2 = xd + hh * xdd
         xdd2 = xdd + hh * r1
-        r2 = -(a * xdd2) - x2 + sf * (xd2 * xd2)
+        r2 = na * xdd2 - x2 + sf * (xd2 * xd2)
         x3 = x + hh * xd2
         xd3 = xd + hh * xdd2
         xdd3 = xdd + hh * r2
-        r3 = -(a * xdd3) - x3 + sf * (xd3 * xd3)
+        r3 = na * xdd3 - x3 + sf * (xd3 * xd3)
         x4 = x + h * xd3
         xd4 = xd + h * xdd3
         xdd4 = xdd + h * r3
-        r4 = -(a * xdd4) - x4 + sf * (xd4 * xd4)
+        r4 = na * xdd4 - x4 + sf * (xd4 * xd4)
         x, xd, xdd = (x + h * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4) / 6.0,
                       xd + h * (xdd + 2.0 * xdd2 + 2.0 * xdd3 + xdd4) / 6.0,
                       xdd + h * (r1 + 2.0 * r2 + 2.0 * r3 + r4) / 6.0)
@@ -156,12 +164,13 @@ def _channels(config: IntegratorConfig, dt_out: float, states,
               ) -> tuple[UniformSeries, UniformSeries, UniformSeries]:
     """The x, xd and xdd channels of ``states`` as series on the output grid."""
     source = config.method.value
+    cells = np.fromiter(chain.from_iterable(states), np.float64, 3 * len(states))
     return tuple(
         UniformSeries(
             t0=config.t_start, dt=dt_out, values=vals,
             meta=SeriesMeta(source_id=source, signal=name),
         )
-        for vals, name in zip(np.array(states).T, ("x", "xd", "xdd"))
+        for vals, name in zip(cells.reshape(-1, 3).T, ("x", "xd", "xdd"))
     )
 
 

@@ -24,9 +24,19 @@ from jerklab import (IntegrationOverflowError, IntegratorConfig, SystemState,
                      ingest, simulate)
 from jerklab.cli import main
 
+#: Trace digests by name, with the simulate flags beside the default span and
+#: points that make each trace. ``rk4_2h`` is rk4 at twice the default step,
+#: as in the benchmark's run of that name; ``rk4_plus`` is the mirror system
+#: from the mirrored start.
 TRACE_SHA256 = {
-    "rk4": "1efbe571517c296bae9775b217fcf8c5fe601fb81e6aed75213be7f2a7b0d457",
-    "euler": "52f63d3cd45b7b7a87dc6b9f0c2651fa202ae2c43c78c1e81167fbd7b5ed9cd2",
+    "rk4": (("--method", "rk4"),
+            "1efbe571517c296bae9775b217fcf8c5fe601fb81e6aed75213be7f2a7b0d457"),
+    "euler": (("--method", "euler"),
+              "52f63d3cd45b7b7a87dc6b9f0c2651fa202ae2c43c78c1e81167fbd7b5ed9cd2"),
+    "rk4_2h": (("--h", "2e-3"),
+               "e652d904e8affe50fa49d9452fd577cd13fcd43176b6ce8d290a1aa12a64b769"),
+    "rk4_plus": (("--sign", "plus", "--ic", "0,0,-0.1"),
+                 "0e9bd8053068e0b3123bbaf1dabd4498caad144fe53e9932ccb734ca988a091e"),
 }
 ESCAPE_LAST_VALID_TIME = "0x1.09b45a3cf7bbep+6"  # t ≈ 66.426
 #: The measured trace of the compare case: rk4 over the default span on
@@ -47,11 +57,12 @@ def _simulate(path, *flags) -> None:
     assert main(["simulate", *flags, "--out", str(path)]) == 0
 
 
-@pytest.mark.parametrize("method", sorted(TRACE_SHA256))
-def test_default_simulate_trace(tmp_path, capsys, method):
-    path = tmp_path / f"{method}.csv"
-    _simulate(path, "--method", method)
-    assert _sha256(path) == TRACE_SHA256[method]
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_default_simulate_trace(tmp_path, capsys, name):
+    flags, digest = TRACE_SHA256[name]
+    path = tmp_path / f"{name}.csv"
+    _simulate(path, *flags)
+    assert _sha256(path) == digest
 
 
 def test_escaping_start_last_valid_time():

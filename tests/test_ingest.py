@@ -222,6 +222,30 @@ class TestWriting:
         with pytest.raises(ValidationError):
             write_series_csv([1.0, 2.0])  # type: ignore[arg-type]
 
+    @staticmethod
+    def _joined(t, v) -> bytes:
+        rows = "".join(f"{format_float(a)},{format_float(b)}\n" for a, b in zip(t, v))
+        return ("t,v\n" + rows).encode()
+
+    # Integral values in the first, the middle and the last row of each
+    # column, the last row's newline included.
+    EDGES = [0.0, -0.0, 100.0, 1e15, 1e16, 5e-324]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("t", [
+        [-0.0, 5e-324, 0.5, 1e15, 1e15 + 0.5, 9999999999999998.0, 1e16],
+        [0.0, 0.25, 0.5, 100.0, 100.5, 1e15, 1e15 + 1.0],
+    ], ids=["t_from_minus_zero", "t_to_integral"])
+    def test_equals_format_float_per_value(self, t, edge):
+        v = [edge, 0.5, -1.25, edge, 3.0, 0.1, edge]
+        assert write_series_csv(mk_ts(t, v)) == self._joined(t, v)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_uniform_equals_format_float_per_value(self, edge):
+        v = [edge, 0.5, -1.25, edge, 3.0, 0.1, edge]
+        s = mk_uniform(v, t0=0.0, dt=50.0)
+        assert write_series_csv(s) == self._joined(s.times().tolist(), v)
+
     @pytest.mark.parametrize(
         "value,text",
         [(0.0, "0"), (-0.0, "-0"), (1.0, "1"), (-2.5, "-2.5"),

@@ -368,16 +368,18 @@ class TestDeterminism:
         assert np.array_equal(first.xd.values, second.xd.values)
         assert np.array_equal(first.xdd.values, second.xdd.values)
 
-    def test_mirror_symmetry_is_exact(self):
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_mirror_symmetry_is_exact(self, method):
         # Flipping the nonlinearity sign and negating the initial state must
-        # negate the whole trajectory bit-for-bit: every kernel operation
-        # commutes with global negation in IEEE arithmetic.
+        # negate the whole trajectory: every kernel operation commutes with
+        # global negation in IEEE arithmetic. np.array_equal takes +0 and -0
+        # as equal, so this checks values, not sign bits.
         minus = simulate(
-            IntegratorConfig(t_end=20.0, step=1e-3, output_points=201,
+            IntegratorConfig(method=method, t_end=20.0, step=1e-3, output_points=201,
                              initial_state=SystemState(0.0, 0.0, 0.1)),
             JerkParams(a=A_DEFAULT, sign=Sign.MINUS))
         plus = simulate(
-            IntegratorConfig(t_end=20.0, step=1e-3, output_points=201,
+            IntegratorConfig(method=method, t_end=20.0, step=1e-3, output_points=201,
                              initial_state=SystemState(0.0, 0.0, -0.1)),
             JerkParams(a=A_DEFAULT, sign=Sign.PLUS))
         assert np.array_equal(plus.x.values, -minus.x.values)
@@ -618,6 +620,25 @@ class TestIntervalKernels:
                 one = kernel(*one, *args, 1)
                 ref = frozen(*ref, *args)
             assert _hexes(kernel(*s, *args, n)) == _hexes(one) == _hexes(ref)
+
+    @pytest.mark.parametrize("name", ["euler", "rk4"])
+    @pytest.mark.parametrize("sf", [-1.0, 0.0, 1.0])
+    def test_array_lanes_equal_scalar_calls(self, name, sf):
+        # The kernels run unchanged on numpy arrays, with a per-lane a: each
+        # lane gets the bits (the sign of zero too) of a scalar call.
+        kernel = getattr(integrate, f"_{name}")
+        rnd = random.Random(7)
+        lanes = []
+        for _ in range(8):
+            s = [rnd.uniform(-3.0, 3.0) for _ in "xyz"]
+            s[rnd.randrange(3)] = rnd.choice([0.0, -0.0])
+            lanes.append(s)
+        a = np.array([rnd.uniform(0.5, 3.0) for _ in lanes])
+        h, n = 100.0 / 4699 / 22, 22
+        out = kernel(*np.array(lanes).T, h, a, sf, n)
+        for i, s in enumerate(lanes):
+            scalar = kernel(*s, h, float(a[i]), sf, n)
+            assert _hexes(float(c[i]) for c in out) == _hexes(scalar), i
 
     @pytest.mark.parametrize("method", [Method.EULER, Method.RK4])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
