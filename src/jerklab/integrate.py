@@ -51,6 +51,8 @@ from .series import SeriesMeta, UniformSeries
 RK45_SAFETY = 0.9
 RK45_MIN_FACTOR = 0.2
 RK45_MAX_FACTOR = 5.0
+#: Default absolute and relative tolerance, the only ones euler and rk4 accept.
+RK45_TOL = 1.0e-9
 
 class Method(enum.Enum):
     EULER = "euler"
@@ -67,15 +69,16 @@ class IntegratorConfig:
     """One integration request.
 
     ``step`` is the fixed-step ceiling for Euler/RK4 and the initial trial
-    step for RK45; ``abs_tol``/``rel_tol`` apply to RK45 only.
+    step for RK45; ``abs_tol``/``rel_tol`` apply to RK45 only, and Euler and
+    RK4 refuse any value but :data:`RK45_TOL`.
     """
 
     method: Method = Method.RK4
     t_start: float = 0.0
     t_end: float = 100.0
     step: float = 1.0e-3
-    abs_tol: float = 1.0e-9
-    rel_tol: float = 1.0e-9
+    abs_tol: float = RK45_TOL
+    rel_tol: float = RK45_TOL
     initial_state: SystemState = DEFAULT_INITIAL_STATE
     output_points: int = 4700
 
@@ -93,6 +96,9 @@ class IntegratorConfig:
             raise ValidationError(f"step must be > 0, got {self.step!r}")
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValidationError("tolerances must be > 0")
+        if self.method is not Method.RK45 and {self.abs_tol, self.rel_tol} != {RK45_TOL}:
+            raise ValidationError(f"{self.method.value} reads neither abs_tol nor "
+                                  "rel_tol; they apply to rk45 only")
         if not isinstance(self.initial_state, SystemState):
             raise ValidationError(
                 f"initial_state must be a SystemState, got {self.initial_state!r}"

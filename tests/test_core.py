@@ -6,7 +6,7 @@ import dataclasses
 import inspect
 import math
 import random
-import tomllib
+import re
 from pathlib import Path
 
 import pytest
@@ -190,6 +190,9 @@ def test_public_surface_resolves_without_the_removed_wrappers():
 
 def test_version_matches_pyproject():
     # The version is written twice: in the package and in its metadata.
+    # Read without tomllib, which Python 3.10 lacks: the [project] table's
+    # own version line.
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as f:
-        assert jerklab.__version__ == tomllib.load(f)["project"]["version"]
+    text = pyproject.read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert jerklab.__version__ == re.search(r'^version = "(.*)"$', project, re.M)[1]

@@ -47,6 +47,9 @@ COMPARE_SHA256 = {
     "report_windows.csv":
         "f490847e9e97d3a0cc694b2d47aab86f2638235d1febd0d5dc156bab9f35965c",
 }
+#: What ``horizon`` prints over the compare case's flags; its report is the
+#: compare report.
+HORIZON_STDOUT_SHA256 = "4bf29c2d66761e42d777c6e5741b251f230370d11c6633f46dd8bb01573cbc77"
 
 
 def _sha256(path) -> str:
@@ -81,11 +84,16 @@ def test_compare_report_and_windows(tmp_path, capsys, monkeypatch, forks):
     _simulate(tmp_path / "rk4_2h.csv", "--h", "2e-3", "--points", "2000")
     # Two CPUs, so the measured trace is read in two processes on any host.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert main(["compare", "--measured", str(measured),
-                 "--candidate", f"euler={tmp_path / 'euler.csv'}",
-                 "--candidate", f"rk4_2h={tmp_path / 'rk4_2h.csv'}",
-                 "--windows", "10", "--threshold", "0.3",
-                 "--report", str(tmp_path / "report.json")]) == 0
+    flags = ["--measured", str(measured),
+             "--candidate", f"euler={tmp_path / 'euler.csv'}",
+             "--candidate", f"rk4_2h={tmp_path / 'rk4_2h.csv'}",
+             "--windows", "10", "--threshold", "0.3"]
+    assert main(["compare", *flags, "--report", str(tmp_path / "report.json")]) == 0
     assert forks == [1]
     for name, digest in COMPARE_SHA256.items():
         assert _sha256(tmp_path / name) == digest, name
+    capsys.readouterr()
+    assert main(["horizon", *flags, "--report", str(tmp_path / "horizon.json")]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == HORIZON_STDOUT_SHA256
+    assert _sha256(tmp_path / "horizon.json") == COMPARE_SHA256["report.json"]

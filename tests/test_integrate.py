@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -172,6 +173,16 @@ class TestConfigValidation:
             IntegratorConfig(abs_tol=0.0)
         with pytest.raises(ValidationError, match="tolerance"):
             IntegratorConfig(rel_tol=-1e-9)
+
+    @pytest.mark.parametrize("method", [Method.EULER, Method.RK4])
+    def test_fixed_step_methods_refuse_tolerances(self, method):
+        IntegratorConfig(method=method, abs_tol=integrate.RK45_TOL,
+                         rel_tol=integrate.RK45_TOL)
+        for tols in ({"abs_tol": 1e-6}, {"rel_tol": 1e-12}):
+            with pytest.raises(ValidationError) as info:
+                IntegratorConfig(method=method, **tols)
+            assert str(info.value) == (f"{method.value} reads neither abs_tol nor "
+                                       "rel_tol; they apply to rk45 only")
 
     @pytest.mark.parametrize("points", [0, 1, -5])
     def test_rejects_too_few_points(self, points):
@@ -474,11 +485,12 @@ class TestSensitiveDependence:
 
 def _seeded_request(rng: random.Random):
     """A random simulation request: any method, t_start often != 0, 2 to
-    4,700 points, tolerances from 1e-12 to 1e12, initial kicks up to 1e4, and
-    now and then a span of a few ulps (grid times that round together) or a
-    -0.0 state component. One in ten is an rk45 run whose accepted steps end
-    on grid times, and about one in five an rk45 run with loose tolerances
-    and a large kick, the requests that overflow inside an accepted step."""
+    4,700 points, rk45 tolerances from 1e-12 to 1e12, initial kicks up to
+    1e4, and now and then a span of a few ulps (grid times that round
+    together) or a -0.0 state component. One in ten is an rk45 run whose
+    accepted steps end on grid times, and about one in five an rk45 run with
+    loose tolerances and a large kick, the requests that overflow inside an
+    accepted step."""
     t0 = rng.choice([0.0, rng.uniform(-50.0, 50.0), 10.0 ** rng.uniform(-3, 6)])
     params = JerkParams(a=rng.choice([A_DEFAULT, rng.uniform(0.1, 5.0)]),
                         sign=rng.choice(list(Sign)))
@@ -506,11 +518,15 @@ def _seeded_request(rng: random.Random):
         span = 10.0 ** rng.uniform(-2, 1.3)
     points = rng.choice([2, 3, rng.randint(2, 50), rng.randint(50, 4700)])
     kick = 10.0 ** rng.uniform(-2, 4)
+    method = rng.choice(list(Method))
+    step = span / points * 10.0 ** rng.uniform(-1.5, 1.5)
+    # Every request draws its tolerances, so that the sequence of draws and
+    # the requests after it stay the same; only rk45 takes them.
+    tols = {"abs_tol": 10.0 ** rng.uniform(-12, 12),
+            "rel_tol": 10.0 ** rng.uniform(-12, 12)}
     return IntegratorConfig(
-        method=rng.choice(list(Method)), t_start=t0, t_end=t0 + span,
-        step=span / points * 10.0 ** rng.uniform(-1.5, 1.5),
-        abs_tol=10.0 ** rng.uniform(-12, 12), rel_tol=10.0 ** rng.uniform(-12, 12),
-        output_points=points,
+        method=method, t_start=t0, t_end=t0 + span, step=step,
+        **(tols if method is Method.RK45 else {}), output_points=points,
         initial_state=SystemState(*(rng.choice([0.0, -0.0, rng.uniform(-kick, kick)])
                                     for _ in "xyz")),
     ), params
@@ -535,6 +551,40 @@ def _route(config, outcome) -> str:
     if config.method is not Method.RK45:
         return "fixed overflow"
     return "rk45 collapse" if "collapsed" in outcome[1] else "rk45 divergence"
+
+
+class TestEveryAcceptedSettingIsRead:
+    """``simulate`` accepts a setting only if the setting changes its output:
+    each field of ``IntegratorConfig`` and ``JerkParams``, set away from its
+    default under each method, changes the run's bits or is refused. The
+    library twin of the CLI's ``TestEveryAcceptedKeyIsRead``."""
+
+    BASE = {"t_end": 2.0, "output_points": 21}
+    #: A value away from the base run's for each setting but the method,
+    #: whose other value is the method before it in ``Method``.
+    OTHER = {"t_start": 0.5, "t_end": 3.0, "step": 2e-3, "abs_tol": 1e-6,
+             "rel_tol": 1e-6, "initial_state": SystemState(0.0, 0.0, 0.2),
+             "output_points": 41, "a": 2.04, "sign": Sign.PLUS}
+    CONFIG = [f.name for f in dataclasses.fields(IntegratorConfig)]
+    PARAMS = [f.name for f in dataclasses.fields(JerkParams)]
+
+    @pytest.mark.parametrize("name", CONFIG + PARAMS)
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_each_setting_changes_the_output_or_is_refused(self, method, name):
+        methods = list(Method)
+        value = (methods[methods.index(method) - 1] if name == "method"
+                 else self.OTHER[name])
+        owner = JerkParams if name in self.PARAMS else IntegratorConfig
+        base = {"method": method, **self.BASE}
+        assert value != base.get(name, getattr(owner(), name))
+        config, params = dict(base), {}
+        (params if owner is JerkParams else config)[name] = value
+        before = _outcome(simulate, IntegratorConfig(**base), JerkParams())
+        try:
+            after = _outcome(simulate, IntegratorConfig(**config), JerkParams(**params))
+        except ValidationError:
+            return
+        assert after != before
 
 
 class TestGeneratorDrivers:

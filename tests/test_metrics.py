@@ -3,6 +3,7 @@ prediction horizon, divergence rate, and whole-comparison assembly."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -852,6 +853,25 @@ class TestBuildComparison:
         for cid, trace in cands.items():
             sim = resample_linear(trace, grid)
             assert report.candidate(cid).full_nrmse == nrmse(m, sim)
+
+    def test_each_keyword_setting_changes_the_scores(self):
+        # The twin of the CLI's TestEveryAcceptedKeyIsRead: each keyword
+        # setting, away from its default, changes some candidate's scores or
+        # horizon.
+        other = {"grid_points": 301, "n_windows": 7,
+                 "mean_from": MeanFrom.MEASURED, "threshold": 0.1}
+        keywords = [p for p in inspect.signature(build_comparison).parameters.values()
+                    if p.default is not p.empty]
+        assert [p.name for p in keywords] == list(other)
+
+        def scored(**settings):
+            report = build_comparison(self._measured(), self._candidates(), **settings)
+            return repr([(c.windowed.scores, c.horizon) for c in report.candidates])
+
+        before = scored()
+        for p in keywords:
+            assert other[p.name] != p.default, p.name
+            assert scored(**{p.name: other[p.name]}) != before, p.name
 
     def test_horizon_included_when_threshold_given(self):
         report = build_comparison(self._measured(), self._candidates(),
