@@ -43,6 +43,6 @@ try:
              params)
     print("unexpected: the small-kick orbit stayed finite")
 except IntegrationOverflowError as exc:
-    n_kept = len(exc.partial[0]) if exc.partial else 0
+    n_kept = len(exc.partial.x) if exc.partial else 0
     print(f"small kick (0, 0, 0.01) blows up: {exc}")
     print(f"  ({n_kept} finite samples were preserved for inspection)")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ExtrapolationError, NoOverlapError, ValidationError,
                      _require_float, _require_int)
-from .series import TimeSeries, UniformSeries
+from .series import TimeSeries, UniformSeries, _require_series
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ def build_common_grid(traces: Sequence[TimeSeries], n: int) -> CommonGrid:
     """
     if not traces:
         raise ValidationError("need at least one trace")
+    for i, tr in enumerate(traces):
+        _require_series(tr, f"traces[{i}]", TimeSeries)
     t0 = max(tr.t_start for tr in traces)
     t1 = min(tr.t_end for tr in traces)
     if t1 <= t0:
@@ -79,6 +81,7 @@ def resample_linear(trace: TimeSeries, grid: CommonGrid) -> UniformSeries:
       except for a few-ulp float overhang at the domain edges (an artifact of
       the multiplicative grid formula), which is clamped to the endpoint.
     """
+    _require_series(trace, "trace", TimeSeries)
     t, v = trace.t, trace.v
     q = grid.times()
 

@@ -135,9 +135,10 @@ def _merged_config(args: argparse.Namespace, cls):
 _BOUNDARY_COLUMN = "prefix_end"
 
 
-def _build_report(args: argparse.Namespace, cfg: CompareConfig):
+def _build_report(args: argparse.Namespace, cfg: CompareConfig, outputs):
     """Load the measured and candidate traces and score them: the pipeline
-    that ``compare`` and ``horizon`` share."""
+    that ``compare`` and ``horizon`` share. ``outputs`` are the (label, path)
+    pairs of the files the command will write."""
     def load(path, source_id):
         try:
             return load_trace(path, source_id=source_id)
@@ -158,6 +159,14 @@ def _build_report(args: argparse.Namespace, cfg: CompareConfig):
         if name in paths:
             raise ValidationError(f"duplicate candidate name {name!r}")
         paths[name] = path
+    # Inputs may share a file; an output may share none.
+    taken = {Path(path).resolve(): f"--candidate {name}" for name, path in paths.items()}
+    taken[Path(args.measured).resolve()] = "--measured"
+    for label, path in outputs:
+        key = Path(path).resolve()
+        if key in taken:
+            raise ValidationError(f"{label} {path} names the same file as {taken[key]}")
+        taken[key] = label
     measured = load(args.measured, "measured")
     candidates = {name: load(path, name) for name, path in paths.items()}
     return build_comparison(
@@ -213,11 +222,6 @@ def _write_windows_csv(path: str, report) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _default_windows_path(report_path: str) -> str:
-    p = Path(report_path)
-    return str(p.with_name(p.stem + "_windows.csv"))
-
-
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -245,9 +249,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _merged_config(args, CompareConfig)
-    report = _build_report(args, cfg)
+    windows_path = args.windows_out or str(
+        Path(args.report).with_name(Path(args.report).stem + "_windows.csv"))
+    report = _build_report(args, cfg, [("--report", args.report),
+                                       ("windows CSV", windows_path)])
     _write_report_json(args.report, _report_payload(report, cfg.threshold))
-    windows_path = args.windows_out or _default_windows_path(args.report)
     _write_windows_csv(windows_path, report)
     for cand in report.candidates:
         marker = "  <- reference" if cand.id == report.reference_id else ""
@@ -262,7 +268,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
     cfg = _merged_config(args, CompareConfig)
     if cfg.threshold is None:
         cfg = replace(cfg, threshold=_HORIZON_THRESHOLD)
-    report = _build_report(args, cfg)
+    report = _build_report(args, cfg, [("--report", args.report)] if args.report else [])
     for cand in report.candidates:
         hz = cand.horizon
         state = "exceeded" if hz.exceeded else "not exceeded"

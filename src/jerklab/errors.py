@@ -132,16 +132,17 @@ class IntegrationOverflowError(DataError):
     Divergence is reported, never clipped: a blow-up is a property of the
     trajectory and hiding it would defeat the point of comparing runs.
     ``last_valid_time`` is the latest time at which the state was still
-    finite. ``simulate`` sets ``partial`` on every such error it raises: the
-    three channel series (x, xd, xdd) with exactly the output-grid samples
-    whose time is at most ``last_valid_time``.
+    finite. ``simulate`` sets ``partial`` on every such error it raises: a
+    :class:`~jerklab.integrate.SimulationResult` whose channels ``x``, ``xd``
+    and ``xdd`` hold exactly the output-grid samples whose time is at most
+    ``last_valid_time``.
     """
 
     def __init__(
         self,
         message: str,
         last_valid_time: float | None = None,
-        partial: tuple | None = None,
+        partial: "SimulationResult | None" = None,
     ):
         self.last_valid_time = last_valid_time
         self.partial = partial

@@ -17,9 +17,7 @@ is ``s + (...)``, so a non-finite one never turns finite again. A failed
 interval is replayed one substep at a time to find its last finite substep.
 The Euler and RK4 kernels evaluate the jerk inline at each stage, in the
 operation order of :func:`~jerklab.core._rhs`, so a substep makes no call
-and builds no tuple. They negate ``a`` once per call, not once per stage:
-``(-a) * xdd`` is ``-(a * xdd)`` bit for bit, since rounding to nearest is
-symmetric about zero.
+and builds no tuple.
 
 The adaptive method (Dormand–Prince 4(5), first same as last: six right-hand
 side evaluations per attempted step) uses the requested step as the initial
@@ -30,7 +28,8 @@ exactly); higher-order dense output is deliberately out of scope.
 Each method yields its grid states in order and :func:`simulate` collects
 them. Blow-up is never masked: the run aborts with
 :class:`~jerklab.errors.IntegrationOverflowError` carrying the last finite
-time and, as ``partial``, the grid samples up to that time.
+time and, as ``partial``, a :class:`SimulationResult` of the grid samples up
+to that time.
 """
 
 from __future__ import annotations
@@ -163,21 +162,19 @@ def _finite3(s) -> bool:
     return math.isfinite(s[0]) and math.isfinite(s[1]) and math.isfinite(s[2])
 
 
-
 # ---------------------------------------------------------------------------
 
-def _channels(config: IntegratorConfig, dt_out: float, states,
-              ) -> tuple[UniformSeries, UniformSeries, UniformSeries]:
+def _channels(config: IntegratorConfig, dt_out: float, states) -> SimulationResult:
     """The x, xd and xdd channels of ``states`` as series on the output grid."""
     source = config.method.value
     cells = np.fromiter(chain.from_iterable(states), np.float64, 3 * len(states))
-    return tuple(
+    return SimulationResult(*(
         UniformSeries(
             t0=config.t_start, dt=dt_out, values=vals,
             meta=SeriesMeta(source_id=source, signal=name),
         )
         for vals, name in zip(cells.reshape(-1, 3).T, ("x", "xd", "xdd"))
-    )
+    ))
 
 
 def _fixed_states(config: IntegratorConfig, a: float, sf: float, dt_out: float):
@@ -342,4 +339,4 @@ def simulate(config: IntegratorConfig, params: JerkParams | None = None,
     except IntegrationOverflowError as exc:
         exc.partial = _channels(config, dt_out, states)
         raise
-    return SimulationResult(*_channels(config, dt_out, states))
+    return _channels(config, dt_out, states)

@@ -43,7 +43,7 @@ from .errors import (
     _require_int,
     _require_member,
 )
-from .series import TimeSeries, UniformSeries
+from .series import TimeSeries, UniformSeries, _require_series
 
 
 class MeanFrom(enum.Enum):
@@ -58,7 +58,10 @@ class MeanFrom(enum.Enum):
             cls, text, "mean_from must be 'simulated' or 'measured', got {!r}")
 
 
-def _check_same_grid(measured: UniformSeries, simulated: UniformSeries):
+def _check_same_grid(measured: UniformSeries, simulated: UniformSeries,
+                     names: tuple[str, str] = ("measured", "simulated")):
+    for series, name in zip((measured, simulated), names):
+        _require_series(series, name, UniformSeries)
     if len(measured) != len(simulated):
         raise ValidationError(
             f"series lengths differ: {len(measured)} vs {len(simulated)}"
@@ -103,6 +106,8 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
     most the series length; a zero denominator or a score that overflows
     raises, naming the 1-based window when ``windowed``.
     """
+    if not isinstance(mean_from, MeanFrom):
+        raise ValidationError(f"mean_from must be a MeanFrom, got {mean_from!r}")
     from_sim = mean_from is MeanFrom.SIMULATED
     ends = list(boundaries)
     last = ends[-1]
@@ -268,7 +273,7 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     The logarithms come from ``math.log``, so the last bits of the slope
     depend on the platform's C math library.
     """
-    _check_same_grid(a, b)
+    _check_same_grid(a, b, ("a", "b"))
     start = _require_int(fit_start, "fit indices must be integers")
     end = _require_int(fit_end, "fit indices must be integers")
     if start < 0 or end >= len(a):
@@ -285,7 +290,7 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
         if d == 0.0:
             raise DegenerateSeparationError(k)
         logs.append(math.log(abs(d)))
-    times = [a.time_at(k) for k in range(start, end + 1)]
+    times = a.times()[start:end + 1].tolist()
     n = len(times)
     t_mean = math.fsum(times) / n
     l_mean = math.fsum(logs) / n

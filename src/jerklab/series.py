@@ -85,7 +85,7 @@ class TimeSeries:
 class UniformSeries:
     """A trace on a uniform grid t[k] = t0 + k*dt.
 
-    Timestamps are *derived*, never stored: ``time_at`` computes them with the
+    Timestamps are *derived*, never stored: ``times()`` computes them with the
     single multiplicative formula, so there is no accumulated-addition drift
     and two series with equal (t0, dt, length) have bit-identical grids.
     """
@@ -109,16 +109,8 @@ class UniformSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def time_at(self, k: int) -> float:
-        """Timestamp of sample ``k`` (0-based): t0 + k*dt."""
-        if not 0 <= k < len(self.values):
-            raise ValidationError(
-                f"sample index {k} out of range [0, {len(self.values) - 1}]"
-            )
-        return self.t0 + k * self.dt
-
     def times(self) -> np.ndarray:
-        """All timestamps, each bit-equal to ``time_at(k)``."""
+        """All timestamps: element ``k`` is ``t0 + k*dt``, bit for bit."""
         return self.t0 + np.arange(len(self.values)) * self.dt
 
     @property
@@ -133,3 +125,12 @@ class UniformSeries:
     def to_time_series(self) -> TimeSeries:
         """Materialize the grid into an explicit-timestamp trace."""
         return TimeSeries(t=self.times(), v=self.values, meta=self.meta)
+
+
+def _require_series(value, name: str, cls: type) -> None:
+    """``ValidationError`` naming ``name``, ``cls`` and the class of ``value``
+    unless ``value`` is a ``cls``; a repr would print its arrays."""
+    if not isinstance(value, cls):
+        hint = "; convert it with to_time_series()" if isinstance(value, UniformSeries) else ""
+        raise ValidationError(
+            f"{name} must be a {cls.__name__}, got {type(value).__name__}{hint}")

@@ -430,7 +430,7 @@ def _simulate_fixed(config: IntegratorConfig, params: JerkParams) -> SimulationR
                     partial=_channels(config, dt_out, states),
                 )
         states.append(s)
-    return SimulationResult(*_channels(config, dt_out, states))
+    return _channels(config, dt_out, states)
 
 
 def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationResult:
@@ -520,7 +520,7 @@ def _simulate_rk45(config: IntegratorConfig, params: JerkParams) -> SimulationRe
             )
 
     states = _dense(knot_t, knot_y, config.t_start, dt_out, p)
-    return SimulationResult(*_channels(config, dt_out, states))
+    return _channels(config, dt_out, states)
 
 
 def _dense(knot_t, knot_y, t0, dt_out, count):

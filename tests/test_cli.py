@@ -531,6 +531,45 @@ class TestSharedPipeline:
         assert "horizon_time" not in doc["candidates"][0]
 
 
+class TestOutputPaths:
+    """``compare`` and ``horizon`` refuse an output path that names an input
+    or the other output, before any trace is read or any file written.
+    Paths are compared resolved; inputs may share a file."""
+
+    #: (command, measured trace, output flags); ``{d}`` is the trace directory.
+    CASES = {
+        "report is the windows CSV": (
+            "compare", "measured", ["--report", "{d}/r.json", "--windows-out", "{d}/r.json"]),
+        "report is the measured trace": ("compare", "measured", ["--report", "{d}/measured.csv"]),
+        "windows CSV is a candidate": (
+            "compare", "measured", ["--report", "{d}/r.json", "--windows-out", "{d}/close.csv"]),
+        "default windows CSV is the measured trace": (
+            "compare", "r_windows", ["--report", "{d}/r.json"]),
+        "report spelled another way": (
+            "compare", "measured", ["--report", "{d}/sub/../measured.csv"]),
+        "horizon report is a candidate": ("horizon", "measured", ["--report", "{d}/close.csv"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clashing_output_is_refused(self, capsys, monkeypatch, trace_dir, case):
+        tmp_path, files = trace_dir
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "r_windows.csv").write_bytes(Path(files["measured"]).read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        loads = []
+        monkeypatch.setattr(cli, "load_trace", lambda *a, **k: loads.append(a))
+        command, measured, outputs = self.CASES[case]
+        code, _, stderr = run_cli(
+            capsys, command, "--measured", f"{tmp_path}/{measured}.csv",
+            "--candidate", f"close={files['close']}",
+            "--candidate", f"again={files['close']}",
+            *(arg.format(d=tmp_path) for arg in outputs))
+        assert code == 2
+        assert "names the same file as" in stderr
+        assert loads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from jerklab import (
     JerkParams,
     Method,
     Sign,
+    SimulationResult,
     SystemState,
     UniformSeries,
     ValidationError,
@@ -24,7 +26,7 @@ from jerklab import (
 )
 
 import conftest
-from conftest import reference_simulate, simulate_linear
+from conftest import reference_simulate, simulate_linear, simulation_bits
 from jerklab import integrate
 from jerklab.core import _rhs
 from jerklab.integrate import _euler, _rk4
@@ -422,7 +424,8 @@ class TestBoundedAndEscapingOrbits:
         assert 60.0 < err.last_valid_time < 70.0
         assert "last finite state" in str(err)
         assert err.partial is not None
-        x_part, xd_part, xdd_part = err.partial
+        assert isinstance(err.partial, SimulationResult)
+        x_part, xd_part, xdd_part = err.partial.x, err.partial.xd, err.partial.xdd
         assert isinstance(x_part, UniformSeries)
         assert 2 <= len(x_part) == len(xd_part) == len(xdd_part) < 1001
         assert all(math.isfinite(v) for v in x_part.values)
@@ -444,7 +447,34 @@ class TestBoundedAndEscapingOrbits:
         err = info.value
         assert 55.0 < err.last_valid_time < 70.0
         assert err.partial is not None
-        assert all(math.isfinite(v) for v in err.partial[0].values)
+        assert all(math.isfinite(v) for v in err.partial.x.values)
+
+
+class TestEscapePartial:
+    """The escaping start's ``partial``: one ``SimulationResult`` holding every
+    grid sample up to the last finite time, bit for bit. rk45's step factor
+    goes through the platform's ``pow``, and its bits change once dense
+    output replaces its linear interpolation (ROADMAP, item 1)."""
+
+    #: last_valid_time as float.hex and the SHA-256 of the x, xd and xdd bits.
+    PINNED = {
+        Method.RK4: ("0x1.09b45a3cf7bbep+6",
+                     "c2e72a7f4737d5dbd348928245c66e283e843741a15b4b8bbab2fa3db52374c5"),
+        Method.RK45: ("0x1.09b17ec1096a0p+6",
+                      "1031eface45534c1b34f6476818d6890db79eface7d8f39b38115e1b73c2da95"),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED, key=lambda m: m.value),
+                             ids=lambda m: m.value)
+    def test_partial_keeps_its_bits(self, method):
+        with pytest.raises(IntegrationOverflowError) as info:
+            simulate(IntegratorConfig(method=method, initial_state=IC_ESCAPING))
+        err, part = info.value, info.value.partial
+        assert isinstance(part, SimulationResult)
+        assert [len(part.x), len(part.xd), len(part.xdd)] == [3122] * 3
+        last, digest = self.PINNED[method]
+        assert err.last_valid_time.hex() == last
+        assert hashlib.sha256(simulation_bits(part)).hexdigest() == digest
 
 
 class TestSensitiveDependence:
@@ -540,7 +570,9 @@ def _outcome(run, config, params):
     try:
         res = run(config, params)
     except IntegrationOverflowError as exc:
-        return ("escape", str(exc), exc.last_valid_time.hex(), channels(exc.partial))
+        part = exc.partial
+        return ("escape", str(exc), exc.last_valid_time.hex(),
+                channels((part.x, part.xd, part.xdd)))
     return ("ok", channels((res.x, res.xd, res.xdd)))
 
 
@@ -613,7 +645,7 @@ class TestGeneratorDrivers:
         assert start + (config.t_end - start) / 8 == start
         with pytest.raises(IntegrationOverflowError, match="collapsed") as info:
             simulate(config)
-        x = info.value.partial[0].values
+        x = info.value.partial.x.values
         assert len(x) == 9
         assert [math.copysign(1.0, v) for v in x[:2]] == [-1.0, -1.0]
         assert x[2] > 0.0
@@ -646,7 +678,7 @@ class TestGeneratorDrivers:
             t0, p = config.t_start, config.output_points
             dt = (config.t_end - t0) / (p - 1)
             count = sum(1 for k in range(p) if t0 + k * dt <= err.last_valid_time)
-            for series in err.partial:
+            for series in (err.partial.x, err.partial.xd, err.partial.xdd):
                 assert (series.t0, series.dt, len(series)) == (t0, dt, count), config
                 assert np.isfinite(series.values).all()
             escapes[_route(config, ("escape", str(err)))] += 1

@@ -35,7 +35,9 @@ from jerklab import (
     divergence_rate,
     nrmse,
     prediction_horizon,
+    resample_linear,
     select_reference,
+    simulate,
 )
 
 from jerklab import metrics
@@ -611,6 +613,93 @@ def test_argument_of_the_wrong_kind_is_a_validation_error(where, shown):
     assert str(info.value) == message.replace("{!r}", repr(value))
 
 
+# A series of the other kind: a simulated channel where a raw trace belongs,
+# and a raw trace where a series on a uniform grid belongs.
+_TO_TS = "; convert it with to_time_series()"
+_SERIES_ARGUMENTS = {
+    "build_comparison": (lambda: build_comparison(_PAIR[0], {"c": _TRACE}),
+                         f"traces[0] must be a TimeSeries, got UniformSeries{_TO_TS}"),
+    "build_common_grid": (lambda: build_common_grid([_TRACE, _PAIR[1]], 3),
+                          f"traces[1] must be a TimeSeries, got UniformSeries{_TO_TS}"),
+    "resample_linear": (lambda: resample_linear(_PAIR[0], CommonGrid(0.0, 2.0, 3)),
+                        f"trace must be a TimeSeries, got UniformSeries{_TO_TS}"),
+    "nrmse": (lambda: nrmse(_TRACE, _PAIR[1]),
+              "measured must be a UniformSeries, got TimeSeries"),
+    "cumulative_nrmse": (lambda: cumulative_nrmse(_PAIR[0], _TRACE, 2),
+                         "simulated must be a UniformSeries, got TimeSeries"),
+    "prediction_horizon": (lambda: prediction_horizon(_TRACE, _PAIR[1], 1.0),
+                           "measured must be a UniformSeries, got TimeSeries"),
+    "divergence_rate": (lambda: divergence_rate(_PAIR[0], _TRACE, 0, 2),
+                        "b must be a UniformSeries, got TimeSeries"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_SERIES_ARGUMENTS))
+def test_series_of_the_wrong_type_is_a_validation_error(where):
+    call, message = _SERIES_ARGUMENTS[where]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+class TestEveryAcceptedMeanFromIsRead:
+    """A scorer accepts a ``mean_from`` only if it reads it: each member picks
+    its normalizing mean, and anything else is refused, not read as
+    ``MEASURED``. The scorer twin of the integrator's
+    ``TestEveryAcceptedSettingIsRead``."""
+
+    M = mk_uniform([1.0, 2.0, 4.0, 3.0])
+    S = mk_uniform([2.5, 3.0, 4.0, 4.5])
+    SCORERS = {
+        "nrmse": lambda m, s, mean_from: nrmse(m, s, mean_from),
+        "cumulative_nrmse": lambda m, s, mean_from: cumulative_nrmse(
+            m, s, 2, mean_from).scores,
+        "prediction_horizon": lambda m, s, mean_from: prediction_horizon(
+            m, s, 1.0, 2, mean_from),
+        "build_comparison": lambda m, s, mean_from: build_comparison(
+            m.to_time_series(), {"s": s.to_time_series()}, 4, 2,
+            mean_from).candidate("s").windowed.scores,
+    }
+    #: Each scorer's result on (M, S) per member, as float.hex; unchanged
+    #: since non-members were refused.
+    BITS = {
+        MeanFrom.SIMULATED: {
+            "nrmse": "0x1.903fb21c5c8dfp-1",
+            "cumulative_nrmse": ("0x1.e4cb60d55531ep-1", "0x1.903fb21c5c8dfp-1"),
+            "prediction_horizon": ("0x1.8000000000000p+1", False),
+            "build_comparison": ("0x1.e4cb60d55531ep-1", "0x1.903fb21c5c8dfp-1"),
+        },
+        MeanFrom.MEASURED: {
+            "nrmse": "0x1.0c7ebc96a56f6p+0",
+            "cumulative_nrmse": ("0x1.465655f122ff6p+1", "0x1.0c7ebc96a56f6p+0"),
+            "prediction_horizon": ("0x0.0p+0", True),
+            "build_comparison": ("0x1.465655f122ff6p+1", "0x1.0c7ebc96a56f6p+0"),
+        },
+    }
+
+    @staticmethod
+    def _bits(result):
+        if isinstance(result, float):
+            return result.hex()
+        if isinstance(result, HorizonResult):
+            return (result.time.hex(), result.exceeded)
+        return tuple(v.hex() for v in result)
+
+    @pytest.mark.parametrize("value", ["simulated", "measured", None, Method.RK4],
+                             ids=str)
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_a_non_member_is_refused(self, scorer, value):
+        with pytest.raises(ValidationError) as info:
+            self.SCORERS[scorer](self.M, self.S, value)
+        assert str(info.value) == f"mean_from must be a MeanFrom, got {value!r}"
+
+    @pytest.mark.parametrize("mean_from", list(MeanFrom), ids=lambda m: m.value)
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_each_member_gives_its_pinned_bits(self, scorer, mean_from):
+        result = self.SCORERS[scorer](self.M, self.S, mean_from)
+        assert self._bits(result) == self.BITS[mean_from][scorer]
+
+
 class TestWindowedNrmseValidation:
     def test_rejects_non_increasing_boundaries(self):
         with pytest.raises(ValidationError):
@@ -811,6 +900,16 @@ class TestDivergenceRate:
         a = mk_uniform([0.0] * n)
         b = mk_uniform([1e-6 * math.exp(0.1 * k) for k in range(n)])
         assert divergence_rate(a, b, 0, n - 1) == divergence_rate(a, b, 0, n - 1)
+
+    def test_readme_pair_keeps_its_bits(self):
+        # The README's pair: two default runs 1e-10 apart in xdd. The slope
+        # goes through math.log, so these bits hold for this platform's libm.
+        params = JerkParams(a=2.03)
+        a = simulate(IntegratorConfig(), params).xdd
+        b = simulate(IntegratorConfig(
+            initial_state=SystemState(0.0, 0.0, 0.1 + 1e-10)), params).xdd
+        rate = divergence_rate(a, b, fit_start=100, fit_end=900)
+        assert rate.hex() == "0x1.a657438fcc6cep-4"
 
 
 class TestBuildComparison:

@@ -52,17 +52,9 @@ class TestUniformSeries:
         s = mk_uniform([1.0, 2.0, 3.0, 4.0], t0=0.3, dt=0.1)
         # Timestamps come from one multiplication, never accumulation.
         assert s.times().tolist() == [0.3 + k * 0.1 for k in range(4)]
-        assert s.time_at(3) == 0.3 + 3 * 0.1
-        assert s.t_end == s.time_at(3)
+        assert s.t_end == s.times()[3] == 0.3 + 3 * 0.1
         assert s.span == 3 * 0.1
         assert len(s) == 4
-
-    def test_time_at_range_checked(self):
-        s = mk_uniform([1.0, 2.0])
-        with pytest.raises(ValidationError):
-            s.time_at(2)
-        with pytest.raises(ValidationError):
-            s.time_at(-1)
 
     def test_single_sample_allowed(self):
         s = mk_uniform([5.0])
@@ -146,11 +138,11 @@ class TestArrayContract:
             assert str(exc.value) == message
             assert "np.float64" not in str(exc.value)
 
-    def test_times_bit_equal_to_time_at(self):
+    def test_times_bit_equal_to_scalar_formula(self):
         for t0, dt, n in [(0.3, 0.1, 4), (-1.0, 1.0 / 3.0, 50),
                           (1e3, 2.13e-2, 4700)]:
             s = mk_uniform([0.0] * n, t0=t0, dt=dt)
             times = s.times()
             assert times.dtype == np.float64
             assert [v.hex() for v in times.tolist()] == [
-                s.time_at(k).hex() for k in range(n)]
+                (t0 + k * dt).hex() for k in range(n)]
