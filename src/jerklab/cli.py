@@ -17,6 +17,7 @@ import enum
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -145,6 +146,12 @@ def _build_report(args: argparse.Namespace, cfg: CompareConfig, outputs):
         except OSError as exc:
             raise DataError(f"cannot open {path}: {exc}") from None
 
+    def file_of(path):  # an existing file by inode: a hard link is that file
+        try:
+            return (st := os.stat(path)).st_dev, st.st_ino
+        except OSError:
+            return Path(path).resolve()
+
     paths = {}
     for spec_text in args.candidate:
         name, sep, path = spec_text.partition("=")
@@ -160,10 +167,10 @@ def _build_report(args: argparse.Namespace, cfg: CompareConfig, outputs):
             raise ValidationError(f"duplicate candidate name {name!r}")
         paths[name] = path
     # Inputs may share a file; an output may share none.
-    taken = {Path(path).resolve(): f"--candidate {name}" for name, path in paths.items()}
-    taken[Path(args.measured).resolve()] = "--measured"
+    taken = {file_of(path): f"--candidate {name}" for name, path in paths.items()}
+    taken[file_of(args.measured)] = "--measured"
     for label, path in outputs:
-        key = Path(path).resolve()
+        key = file_of(path)
         if key in taken:
             raise ValidationError(f"{label} {path} names the same file as {taken[key]}")
         taken[key] = label

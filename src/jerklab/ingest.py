@@ -10,22 +10,22 @@ are read on one of two paths:
 
 * the gated read: when the header is line 1 and every byte after it is an
   ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
-  only the header is decoded and the rows are read by one
-  :func:`numpy.loadtxt` call. Within that alphabet it parses each cell as
-  ``float()`` does, bit for bit, and refuses the same cells. The check and
-  the call read the file's bytes in place, by offset, so the read holds no
-  copy of the body. A body of at least two shares of ``_SPLIT_FLOOR`` bytes
-  is cut at line ends into one share per usable CPU (fewer when it is
-  shorter). Forked children parse the first shares with the same call and
-  send the cells back through pipes; this process parses the rest: the
-  last share, or every share from a pipe or fork the system refuses. loadtxt
-  parses row by row, so the joined cells have the bits of the single call,
-  and one :class:`TimeSeries` check covers the seams. A share that fails
-  sends the file to the scan. Without ``os.fork``, beside another Python
-  thread or with SIGCHLD ignored (no child status), the body is one share.
-  Python 3.12 and later issue a DeprecationWarning when a process that
-  holds other OS threads forks (a BLAS thread pool is one); the split is
-  tested on Python 3.11 only;
+  only the header is decoded, and each share of the body is checked against
+  that alphabet and read by one :func:`numpy.loadtxt` call, which within it
+  parses each cell as ``float()`` does, bit for bit, and refuses the same
+  cells. A body of at least two shares of ``_SPLIT_FLOOR`` bytes is cut at
+  line ends into one share per usable CPU (fewer when it is shorter): forked
+  children parse the first shares and send the cells back through pipes,
+  this process the rest (the last share, or every share from a pipe or fork
+  the system refuses). loadtxt parses row by row, so the joined cells have
+  the bits of a single call; one :class:`TimeSeries` check covers the seams.
+  A share that fails or comes back short sends the file to the scan. Each
+  process reads its share alone: :func:`load_trace` by one ``os.pread``, as
+  forked processes share the file offset (a pipe is read whole), while
+  :func:`parse_trace` gates the body and reads its last share in place.
+  Without ``os.fork``, beside another Python thread or with SIGCHLD
+  ignored, the body is one share. Python 3.12+ warns when a process holding
+  other OS threads (a BLAS pool) forks; the split is tested on 3.11 only;
 * the checked scan: any other file, and any file the gated read refuses or
   that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
   reported first), split into lines and read row by row with ``float()``
@@ -102,56 +102,70 @@ def _header(header: str, line: int, source_id: str):
 
 
 def _loadtxt(lines, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
-    """The (time, value) cells of the byte ``lines`` (a binary file or an
-    iterator of its lines) as one n-by-2 array; a numpy warning (e.g. "input
-    contained no data") is raised."""
+    """The (time, value) cells of the binary file ``lines`` from its
+    position on, as one n-by-2 array; a numpy warning (e.g. "input contained
+    no data") is raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return np.loadtxt(lines, delimiter=delimiter, usecols=cols,
                           ndmin=2, comments=None, dtype=np.float64)
 
 
-def _cuts(raw: bytes, start: int) -> list[int]:
-    """Offsets ``[start, ..., len(raw)]`` that cut the body ``raw[start:]``
-    after line ends into about equal shares: one per usable CPU, none under
-    :data:`_SPLIT_FLOOR` bytes, and one share where ``os.fork`` is missing,
-    another thread runs or SIGCHLD is ignored."""
+def _cuts(find, start: int, end: int) -> list[int]:
+    """Offsets ``[start, ..., end]`` that cut the body ``[start, end)`` after
+    line ends, which ``find`` finds as ``bytes.find`` does, into about equal
+    shares: one per usable CPU, none under :data:`_SPLIT_FLOOR` bytes, and
+    one share where ``os.fork`` is missing, another thread runs or SIGCHLD
+    is ignored."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    size = len(raw) - start
+    size = end - start
     k = min(cpus, size // _SPLIT_FLOOR)
     if (not hasattr(os, "fork") or threading.active_count() > 1
             or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
         k = 1
     cuts = [start]
     for i in range(1, k):
-        end = raw.find(b"\n", max(cuts[-1], start + size * i // k - 1)) + 1
-        if cuts[-1] < end < len(raw):
-            cuts.append(end)
-    cuts.append(len(raw))
+        cut = find(b"\n", max(cuts[-1], start + size * i // k - 1)) + 1
+        if cuts[-1] < cut < end:
+            cuts.append(cut)
+    cuts.append(end)
     return cuts
 
 
-def _child(out, share: bytes, delimiter: str, cols: tuple[int, int]):
-    """In a forked child: write the cells of ``share`` to the pipe ``out``,
+def _share(read, lo: int, hi: int, delimiter: str, cols: tuple[int, int]):
+    """The cells of the body's bytes ``[lo, hi)``, the last ``hi - lo`` bytes
+    of the buffer ``read(lo, hi)`` gives with the offset to gate it from. A
+    share cut short or holding a byte outside the gate raises ValueError."""
+    buf, gate = read(lo, hi)
+    allowed = _NUMERIC + delimiter.encode()
+    # buf passes when the alphabet leaves no more of it than of buf[:gate].
+    if len(buf) < hi - lo or len(buf.translate(None, allowed)) != len(
+            buf[:gate].translate(None, allowed)):
+        raise ValueError("a share is short or holds a byte outside the gate")
+    lines = io.BytesIO(buf)  # shares buf's buffer until written to
+    lines.seek(len(buf) - (hi - lo))
+    return _loadtxt(lines, delimiter, cols)
+
+
+def _child(out, cells):
+    """In a forked child: write the array ``cells()`` to the pipe ``out``,
     then end the process, with status 0 only when every cell was written.
     Never returns into the caller's code and flushes no stdio buffer."""
     gc.disable()  # a collection here could run finalizers of the parent's objects
     status = 1
     try:
-        out.write(_loadtxt(io.BytesIO(share), delimiter, cols).tobytes())
+        out.write(cells().tobytes())
         out.close()
         status = 0
     finally:
         os._exit(status)
 
 
-def _split_loadtxt(raw: bytes, start: int, delimiter: str,
-                   cols: tuple[int, int]) -> np.ndarray:
-    """The cells of the body ``raw[start:]`` below the header line, read in
-    place: forked children parse the first shares, this process the rest of
-    the body. A child that fails raises ValueError here."""
-    cuts = _cuts(raw, start)
+def _split_loadtxt(cuts: list[int], share) -> np.ndarray:
+    """The cells of the body cut at ``cuts``, where ``share(lo, hi)`` gives
+    those of one share: forked children parse the first shares, this
+    process the rest of the body. A child that fails raises ValueError here."""
     pids, pipes = [], []
     try:
         with contextlib.suppress(OSError):  # a refused pipe or fork
@@ -165,11 +179,9 @@ def _split_loadtxt(raw: bytes, start: int, delimiter: str,
                         # closed unread stops at a broken pipe, not a full one.
                         for pipe in pipes:
                             pipe.close()
-                        _child(out, raw[lo:hi], delimiter, cols)
+                        _child(out, lambda: share(lo, hi))
                 pids.append(pid)
-        lines = io.BytesIO(raw)  # shares raw's buffer until written to
-        lines.seek(cuts[len(pids)])
-        cells = _loadtxt(lines, delimiter, cols)
+        cells = share(cuts[len(pids)], cuts[-1])
         shares = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -184,25 +196,23 @@ def _split_loadtxt(raw: bytes, start: int, delimiter: str,
         [*(np.frombuffer(b, dtype=np.float64).reshape(-1, 2) for b in shares), cells])
 
 
-def _gated(raw: bytes, source_id: str) -> TimeSeries | None:
-    """The series the gated read makes of ``raw``, or None when the file is
-    not in its layout or the read fails. Never raises."""
-    start = raw.find(b"\n") + 1  # 0 without a line end: no header, no read
-    head = raw[:start]
-    try:
+def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
+    """The series of a file of ``end`` bytes, by the gated read (see _cuts and
+    _share for ``find`` and ``read``) or else by the checked scan of ``whole()``."""
+    head = read(0, find(b"\n", 0) + 1)[0]  # b"" without a line end: no header
+    with contextlib.suppress(ParseError, ValueError, Warning):
         header = head.decode("utf-8").removeprefix(_BOM).splitlines()
-        if len(header) != 1 or not header[0].strip():
-            return None
-        delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
-        # The bytes the alphabet leaves of the file are those it leaves of
-        # the header, then those of the body: a body in the alphabet leaves none.
-        allowed = _NUMERIC + delimiter.encode()
-        if len(raw.translate(None, allowed)) != len(head.translate(None, allowed)):
-            return None
-        cells = _split_loadtxt(raw, start, delimiter, cols)
-        return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
-    except (ParseError, ValueError, Warning):
-        return None
+        if len(header) == 1 and header[0].strip():
+            delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
+            # A size below the header's (0 for /proc files) reads no body.
+            cells = _split_loadtxt(_cuts(find, len(head), max(end, len(head))),
+                                   lambda lo, hi: _share(read, lo, hi, delimiter, cols))
+            return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
+    lines = _lines(whole())
+    # Line 0 stands for a missing header: every line is blank.
+    start, header = next(_numbered(lines), (0, ""))
+    delimiter, cols, meta = _header(header, start, source_id)
+    return _scan(lines, start, cols, delimiter, meta)
 
 
 def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
@@ -248,14 +258,10 @@ def parse_trace(data: bytes | str, *, source_id: str = "") -> TimeSeries:
     value in column 1, and header cell 1, when present, names the signal.
     """
     raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
-    series = _gated(raw, source_id)
-    if series is not None:
-        return series
-    lines = _lines(data)
-    # Line 0 stands for a missing header: every line is blank.
-    start, header = next(_numbered(lines), (0, ""))
-    delimiter, cols, meta = _header(header, start, source_id)
-    return _scan(lines, start, cols, delimiter, meta)
+    start = raw.find(b"\n") + 1
+    # The last share is read in place and gated with the whole body; others are copied.
+    return _parse(len(raw), raw.find, lambda lo, hi: (raw, start) if hi == len(raw)
+                  else (raw[lo:hi], 0), lambda: data, source_id)
 
 
 def format_float(value: float) -> str:
@@ -298,5 +304,19 @@ def load_trace(path: str | PathLike, *,
     failures propagate as :class:`OSError`.
     """
     p = Path(path)
-    return parse_trace(p.read_bytes(),
-                       source_id=p.stem if source_id is None else source_id)
+    source_id = p.stem if source_id is None else source_id
+    with open(p, "rb") as f:
+        if not hasattr(os, "pread") or not f.seekable():  # e.g. a pipe
+            return parse_trace(f.read(), source_id=source_id)
+        fd = f.fileno()
+
+        def find(sub: bytes, pos: int) -> int:  # bytes.find of one byte
+            while window := os.pread(fd, 4096, pos):
+                if (at := window.find(sub)) >= 0:
+                    return pos + at
+                pos += len(window)
+            return -1
+
+        # pread leaves alone the file offset that forked children share.
+        return _parse(os.fstat(fd).st_size, find,
+                      lambda lo, hi: (os.pread(fd, hi - lo, lo), 0), f.read, source_id)

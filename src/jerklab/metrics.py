@@ -364,6 +364,9 @@ def build_comparison(measured: TimeSeries,
                                    positive=True)
     grid_points = _require_int(
         grid_points, f"grid_points must be an integer >= 2, got {grid_points!r}", 2)
+    _require_series(measured, "measured", TimeSeries)
+    for cid, trace in candidates.items():
+        _require_series(trace, f"candidates[{cid!r}]", TimeSeries)
     grid = build_common_grid([measured, *candidates.values()], grid_points)
     m = resample_linear(measured, grid)
     scored = []

@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -568,6 +569,20 @@ class TestOutputPaths:
         assert "names the same file as" in stderr
         assert loads == []
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_hard_link_to_an_input_is_refused(self, capsys, tmp_path):
+        # A hard link resolves to its own path, so files are told apart by
+        # inode: the report may not overwrite the measured trace through one.
+        measured = tmp_path / "m.csv"
+        measured.write_bytes(b"t,v\n0,1\n1,2\n2,0\n")
+        link = tmp_path / "link.json"
+        os.link(measured, link)
+        code, _, stderr = run_cli(capsys, "compare", "--measured", str(measured),
+                                  "--candidate", f"c={measured}", "--report", str(link))
+        assert code == 2
+        assert f"--report {link} names the same file as --measured" in stderr
+        assert measured.read_bytes() == b"t,v\n0,1\n1,2\n2,0\n"
+        assert not (tmp_path / "link_windows.csv").exists()
 
 
 class TestConfigFile:

@@ -291,6 +291,15 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(ingest, "_scan", refuse)
 
 
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """One item per run of the checked scan."""
+    calls = []
+    scan = ingest._scan
+    monkeypatch.setattr(ingest, "_scan", lambda *args: calls.append(1) or scan(*args))
+    return calls
+
+
 class TestGatedRead:
     def test_cells_are_bit_equal_to_float(self, no_scan):
         # 20,000 random doubles of magnitude about 1e-300 to 1e300, each
@@ -603,6 +612,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _cuts(raw: bytes, start: int) -> list[int]:
+    """The cuts of the in-memory body ``raw[start:]``."""
+    return ingest._cuts(raw.find, start, len(raw))
+
+
 def _cpus(monkeypatch, count: int):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
@@ -640,17 +654,17 @@ class TestSplitRead:
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 4)
         _cpus(monkeypatch, 4)
         body = b"0,1\n1,2\n2,3\n3,4\n4,5\n"
-        cuts = ingest._cuts(body, 0)
+        cuts = _cuts(body, 0)
         assert cuts == [0, 8, 12, 16, 20]
         assert all(body[c - 1:c] == b"\n" for c in cuts[1:])
         # A body under two floors is one share, and no share is empty.
-        assert ingest._cuts(b"0,1\n1,2", 0) == [0, 7]
-        assert ingest._cuts(b"0,1\n" + b"\n" * 12, 0) == [0, 4, 8, 12, 16]
-        assert ingest._cuts(b"0,1,2,3,4,5,6,7,8\n", 0) == [0, 18]
+        assert _cuts(b"0,1\n1,2", 0) == [0, 7]
+        assert _cuts(b"0,1\n" + b"\n" * 12, 0) == [0, 4, 8, 12, 16]
+        assert _cuts(b"0,1,2,3,4,5,6,7,8\n", 0) == [0, 18]
         # Below a header the offsets are those of the file, shifted by the
         # header, and the header's length counts toward no share.
-        assert ingest._cuts(b"time,xdd\n" + body, 9) == [c + 9 for c in cuts]
-        assert ingest._cuts(b"t,v\n0,1\n1,2", 4) == [4, 11]
+        assert _cuts(b"time,xdd\n" + body, 9) == [c + 9 for c in cuts]
+        assert _cuts(b"t,v\n0,1\n1,2", 4) == [4, 11]
 
     @pytest.mark.parametrize("fault,message", [
         ("1,", "line 40: not a number: ''"),
@@ -669,7 +683,7 @@ class TestSplitRead:
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 40)
         _cpus(monkeypatch, 4)
         raw = text.encode()
-        cuts = ingest._cuts(raw, raw.index(b"\n") + 1)
+        cuts = _cuts(raw, raw.index(b"\n") + 1)
         assert cuts[-2] < raw.index(f"{fault},2".encode())
         with pytest.raises(ParseError) as split:
             parse_trace(text)
@@ -684,7 +698,7 @@ class TestSplitRead:
         _cpus(monkeypatch, 2)
         text = "t,v\n0,1\n1,2\n2,3\n3,\n"
         raw = text.encode()
-        assert ingest._cuts(raw, 4)[-2] <= raw.index(b"3,\n")
+        assert _cuts(raw, 4)[-2] <= raw.index(b"3,\n")
         with pytest.raises(ParseError) as info:
             parse_trace(text)
         assert str(info.value) == "line 5: not a number: ''"
@@ -717,7 +731,7 @@ class TestSplitRead:
         _cpus(monkeypatch, 2)
         text = "t,v\n" + "".join(f"{k},{k % 7}\n" for k in range(39_999)) + "39999,\n"
         raw = text.encode()
-        cuts = ingest._cuts(raw, 4)
+        cuts = _cuts(raw, 4)
         assert len(cuts) == 3 and 16 * raw.count(b"\n", 4, cuts[1]) > 65_536
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(20)
@@ -746,7 +760,7 @@ class TestSplitRead:
         assert not forks and not isinstance(want[0], type)
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
         _cpus(monkeypatch, 4)
-        assert len(ingest._cuts(text.encode(), 4)) == 5
+        assert len(_cuts(text.encode(), 4)) == 5
         made = []
         real = getattr(os, call)
 
@@ -848,4 +862,183 @@ class TestSplitRead:
             assert _outcome(parse_trace, text) == want
         assert shown == []
         assert forks
+        _no_child_left()
+
+
+def _load(tmp_path):
+    """``load_trace`` of a file in ``tmp_path`` holding a text's bytes, as
+    ``parse_trace`` encodes them, under parse_trace's source id."""
+    path = tmp_path / "trace.csv"
+
+    def read(data):
+        path.write_bytes(data.encode("utf-8", "surrogatepass")
+                         if isinstance(data, str) else data)
+        return load_trace(path, source_id="")
+    return read
+
+
+# Lines longer than load_trace's 4 KiB window: a header, and a row on which
+# cuts fall.
+LONG_LINES = ("t,v" + ",v" * 3000 + "\n0,1\n1,2\n",
+              "t,v\n0,1\n1." + "0" * 9000 + ",2\n" + "".join(
+                  f"{k},{k % 5}\n" for k in range(10**9, 10**9 + 400)))
+
+
+class TestFileRead:
+    """``load_trace`` reads a regular file share by share with os.pread, to
+    the outcome ``parse_trace`` gives its bytes."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_matches_parse_trace_in_shares(self, tmp_path, monkeypatch, forks,
+                                           scans, cpus):
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, cpus)
+        cuts = []
+        real_cuts = ingest._cuts
+        monkeypatch.setattr(ingest, "_cuts", lambda *a: cuts.append(real_cuts(*a))
+                            or cuts[-1])
+        load = _load(tmp_path)
+        rng = random.Random(20261019 + cpus)  # TestSplitRead's texts at 2 and 4
+        texts = [_fuzz_text(rng, *rng.choice(LAYOUTS)) for _ in range(300)]
+        split = split_series = 0
+        for text in texts + list(GATE_EDGES) + list(LONG_LINES):
+            del cuts[:]
+            want = _outcome(parse_trace, text)
+            assert want == _outcome(_reference_auto, text), text
+            forked, scanned = len(forks), len(scans)
+            assert _outcome(load, text) == want, text
+            _no_child_left()
+            # The file's line ends cut its body where the text's do.
+            assert len(cuts) in (0, 2) and cuts[:1] == cuts[1:], text
+            split += len(forks) > forked
+            split_series += (len(forks) > forked and len(scans) == scanned
+                             and not isinstance(want[0], type))
+        if cpus == 1:
+            assert split == 0
+        else:
+            assert split >= 50 and split_series >= 25, (split, split_series)
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    @pytest.mark.parametrize("refused", [0, 1], ids=["first-child", "later-child"])
+    def test_refused_pipe_or_fork_leaves_the_rest_to_this_process(
+            self, tmp_path, monkeypatch, forks, no_scan, call, refused):
+        # TestSplitRead's case, read from a file.
+        rng = random.Random(20261021)
+        text = "t,v\n" + "".join(f"{k + rng.random()!r},{rng.gauss(0, 1)!r}\n"
+                                 for k in range(40))
+        want = _outcome(parse_trace, text)
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
+        _cpus(monkeypatch, 4)
+        assert len(_cuts(text.encode(), 4)) == 5
+        made = []
+        real = getattr(os, call)
+
+        def refuse():
+            if len(made) == refused:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            made.append(1)
+            return real()
+
+        monkeypatch.setattr(os, call, refuse)
+        assert _outcome(_load(tmp_path), text) == want
+        assert len(forks) == refused
+        _no_child_left()
+
+    @pytest.mark.parametrize("share", [0, 1], ids=["child", "this-process"])
+    def test_short_pread_reads_the_file_whole(self, tmp_path, monkeypatch, forks,
+                                             scans, share):
+        # The file comes back one byte short in one of two shares, as if cut
+        # while being read: the gated read gives up and the scan reads the
+        # whole file.
+        text = "t,v\n" + "".join(f"{k},{k % 7}\n" for k in range(40))
+        want = _outcome(parse_trace, text)
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 50)
+        _cpus(monkeypatch, 2)
+        cuts = _cuts(text.encode(), 4)
+        assert len(cuts) == 3
+        pread = os.pread
+
+        def short(fd, n, offset):
+            return pread(fd, n - (offset == cuts[share]), offset)
+
+        monkeypatch.setattr(os, "pread", short)
+        assert _outcome(_load(tmp_path), text) == want
+        assert len(forks) == 1 and scans == [1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("row,message", [
+        (" 5,1", None),  # a space: outside the gate, read by the scan
+        ("5,1x", "line 7: not a number: '1x'"),
+    ])
+    def test_child_share_outside_the_gate(self, tmp_path, monkeypatch, forks,
+                                          scans, row, message):
+        # The byte outside the gate is in the first share, which a child
+        # gates and refuses; the scan reads the file.
+        rows = [f"{k},{k % 7}" for k in range(40)]
+        rows[5] = row
+        text = "t,v\n" + "\n".join(rows) + "\n"
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 50)
+        _cpus(monkeypatch, 2)
+        raw = text.encode()
+        assert raw.index(row.encode()) < _cuts(raw, 4)[1]
+        want = _outcome(_reference_auto, text)
+        assert (want[1] if message else None) == message
+        assert _outcome(_load(tmp_path), text) == want
+        assert len(forks) == 1 and scans == [1]
+        _no_child_left()
+
+    def test_size_below_the_header_reads_the_file_whole(self, tmp_path,
+                                                        monkeypatch, scans):
+        # A file may report size 0, as /proc files do, or have grown since
+        # its size was taken: the body between the header and that size is
+        # empty, so the scan reads the file whole.
+        text = "t,v\n0,1\n1,2\n"
+        want = _outcome(parse_trace, text)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*fstat(fd)[:6], 0, *fstat(fd)[7:])))
+        assert _outcome(_load(tmp_path), text) == want
+        assert scans == [1]
+
+    def test_reads_only_its_shares(self, tmp_path, monkeypatch, forks, no_scan):
+        # Two shares: this process holds only its own, the last, and the
+        # buffer bytes.translate sizes to it (never written for a clean
+        # share), about 1.0x the file. A read of the whole file peaks at
+        # 2.0x: the file, then a translate buffer of its size.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100_000)
+        _cpus(monkeypatch, 2)
+        rng = random.Random(20261020)
+        raw = ("time,xdd\n" + "".join(
+            f"{k * 1e-3 + rng.uniform(-1e-4, 1e-4)!r},{rng.gauss(0.0, 1.0)!r}\n"
+            for k in range(20_000))).encode()
+        path = tmp_path / "capture.csv"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            series = load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 20_000
+        assert len(forks) == 1
+        _no_child_left()
+        assert peak < 1.25 * len(raw), peak / len(raw)
+
+    def test_a_pipe_is_read_whole(self, monkeypatch, forks):
+        # A pipe has no offsets to read at, nor a size: it is read in one go
+        # and parsed as parse_trace parses it, here in two shares as the
+        # same bytes are.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 2)
+        text = "t,v\n0,1\n1,2\n2,3\n"
+        want = _outcome(parse_trace, text)
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            assert _outcome(lambda _: load_trace(f"/dev/fd/{r}", source_id=""),
+                            text) == want
+        finally:
+            os.close(r)
+        assert len(forks) == 2
         _no_child_left()

@@ -618,7 +618,10 @@ def test_argument_of_the_wrong_kind_is_a_validation_error(where, shown):
 _TO_TS = "; convert it with to_time_series()"
 _SERIES_ARGUMENTS = {
     "build_comparison": (lambda: build_comparison(_PAIR[0], {"c": _TRACE}),
-                         f"traces[0] must be a TimeSeries, got UniformSeries{_TO_TS}"),
+                         f"measured must be a TimeSeries, got UniformSeries{_TO_TS}"),
+    "build_comparison-candidate": (
+        lambda: build_comparison(_TRACE, {"b": _TRACE, "c": _PAIR[1]}),
+        f"candidates['c'] must be a TimeSeries, got UniformSeries{_TO_TS}"),
     "build_common_grid": (lambda: build_common_grid([_TRACE, _PAIR[1]], 3),
                           f"traces[1] must be a TimeSeries, got UniformSeries{_TO_TS}"),
     "resample_linear": (lambda: resample_linear(_PAIR[0], CommonGrid(0.0, 2.0, 3)),
