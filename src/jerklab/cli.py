@@ -204,7 +204,7 @@ def _report_payload(report, threshold):
             "id": cand.id,
             "full_nrmse": cand.full_nrmse,
             "boundaries": list(cand.windowed.boundaries),
-            "scores": list(cand.windowed.scores),
+            "scores": cand.windowed.scores.tolist(),
         }
         if cand.horizon is not None:
             entry["horizon_time"] = cand.horizon.time

@@ -19,8 +19,7 @@ denominator is a compensated Welford sum of squared deviations plus the
 shift to the normalizing mean. Each running sum is a few whole-array steps
 around ``np.add.accumulate``, which adds strictly left to right: the bits
 are those of one sequential loop over the samples, and no pairwise
-reduction is used. Only the window boundaries are scored in Python. The
-full-series score is the one-window case of the same passes.
+reduction is used. The full-series score is the one-window case.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .errors import (
     _require_int,
     _require_member,
 )
-from .series import TimeSeries, UniformSeries, _require_series
+from .series import TimeSeries, UniformSeries, _as_array, _require_series
 
 
 class MeanFrom(enum.Enum):
@@ -89,31 +88,37 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return hi + np.add.accumulate(np.concatenate(([0.0], comp)))[1:]
 
 
+def _window_ends(n: int, k: int) -> np.ndarray:
+    """1-based int64 ends of ``k`` growing windows over ``n`` samples."""
+    # round(j*n/k) bit for bit while j*n < 2**53 (n <= 94,906,265): one correctly
+    # rounded division, then np.rint rounds half to even as Python's round does.
+    return np.rint(np.arange(1, k + 1) * n / k).astype(np.int64)
+
+
 def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
-                   boundaries: Sequence[int], mean_from: MeanFrom,
-                   windowed: bool = True) -> list[float]:
-    """Scores of the prefixes ending at each of ``boundaries``.
+                   ends: Sequence[int], mean_from: MeanFrom,
+                   windowed: bool = True) -> np.ndarray:
+    """Read-only float64 scores of the prefixes ending at each of ``ends``.
 
     The mean source and the error power are Neumaier running sums read off
-    at each boundary, so each equals a Neumaier sum of that prefix bit for
+    at each end, so each equals a Neumaier sum of that prefix bit for
     bit. The denominator is ``M2 + n*(ybar_n - m)**2``, where ``M2``
     accumulates the Welford terms ``(y_k - ybar_{k-1})*(y_k - ybar_k)`` with
     compensation and ``ybar_k`` comes from the compensated running sum of
     ``y``; both parts are non-negative, so nothing cancels. Every running sum
     is a sequential array pass (see :func:`_running_sum`), so the bits are
-    those of one loop over the samples; the boundary values are scored in
-    whole-array steps. Boundaries are 1-based, strictly increasing and at
-    most the series length; a zero denominator or a score that overflows
-    raises, naming the 1-based window when ``windowed``.
+    those of one loop over the samples; the ends are scored in whole-array
+    steps. Ends are 1-based, strictly increasing and at most the series
+    length; a zero denominator or an overflowing score raises, naming the
+    1-based window when ``windowed``.
     """
     if not isinstance(mean_from, MeanFrom):
         raise ValidationError(f"mean_from must be a MeanFrom, got {mean_from!r}")
     from_sim = mean_from is MeanFrom.SIMULATED
-    ends = list(boundaries)
-    last = ends[-1]
+    at = np.asarray(ends) - 1
+    last = int(at[-1]) + 1
     y = np.asarray(y, dtype=float)[:last]
     yhat = np.asarray(yhat, dtype=float)[:last]
-    at = np.array(ends) - 1
     # Overflow and inf - inf follow IEEE here; the checks below raise.
     with np.errstate(all="ignore"):
         means = _running_sum(y) / np.arange(1.0, last + 1)
@@ -145,7 +150,8 @@ def _prefix_scores(y: Sequence[float], yhat: Sequence[float],
             )
         raise DataError(f"NRMSE{where} is not finite: the samples are too "
                         "large to square in double precision")
-    return scores.tolist()
+    scores.flags.writeable = False
+    return scores
 
 
 def nrmse(measured: UniformSeries, simulated: UniformSeries,
@@ -155,33 +161,27 @@ def nrmse(measured: UniformSeries, simulated: UniformSeries,
     if len(measured) < 2:
         raise ValidationError("nrmse needs at least 2 samples")
     return _prefix_scores(measured.values, simulated.values,
-                          (len(measured),), mean_from, windowed=False)[0]
+                          (len(measured),), mean_from, windowed=False).item()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowedNrmse:
     """Cumulative-prefix scores: ``scores[j]`` covers samples 1..``boundaries[j]``."""
 
-    boundaries: tuple[int, ...]
-    scores: tuple[float, ...]
+    samples: int
+    scores: np.ndarray
+    boundaries: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        bounds = tuple(_require_int(b, "boundaries are 1-based and must be >= 1", 1)
-                       for b in self.boundaries)
-        scores = tuple(_require_float(s, "scores must be finite and >= 0, got {!r}")
-                       for s in self.scores)
-        if len(bounds) != len(scores) or not bounds:
-            raise ValidationError("boundaries and scores must be non-empty and equal length")
-        for i in range(1, len(bounds)):
-            if bounds[i] <= bounds[i - 1]:
-                raise ValidationError(
-                    f"boundaries must be strictly increasing, got {bounds!r}"
-                )
-        for s in scores:
-            if s < 0.0:
-                raise ValidationError(f"scores must be finite and >= 0, got {s!r}")
-        object.__setattr__(self, "boundaries", bounds)
+        scores = _as_array("scores", self.scores)
+        if not (scores.size and (scores >= 0.0).all()):
+            raise ValidationError("scores must be non-empty and >= 0")
+        k = len(scores)
+        n = _require_int(self.samples,
+                         f"samples must be an integer >= {k}, got {self.samples!r}", k)
+        object.__setattr__(self, "samples", n)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "boundaries", tuple(_window_ends(n, k).tolist()))
 
 
 def cumulative_nrmse(measured: UniformSeries, simulated: UniformSeries,
@@ -205,10 +205,8 @@ def cumulative_nrmse(measured: UniformSeries, simulated: UniformSeries,
         raise ValidationError(f"n_windows={k} exceeds series length {n}")
     if n < 2:
         raise ValidationError("cumulative nrmse needs at least 2 samples")
-    boundaries = tuple(round(j * n / k) for j in range(1, k + 1))
-    scores = _prefix_scores(measured.values, simulated.values, boundaries,
-                            mean_from)
-    return WindowedNrmse(boundaries=boundaries, scores=tuple(scores))
+    return WindowedNrmse(n, _prefix_scores(measured.values, simulated.values,
+                                           _window_ends(n, k), mean_from))
 
 
 def select_reference(scores: Mapping[Any, float]) -> Any:
@@ -239,11 +237,12 @@ class HorizonResult:
 
 def _horizon(windowed: WindowedNrmse, threshold: float,
              measured: UniformSeries) -> HorizonResult:
-    for j, score in enumerate(windowed.scores):
-        if score > threshold:
-            time = (windowed.boundaries[j - 1] - 1) * measured.dt if j else 0.0
-            return HorizonResult(time=time, exceeded=True)
-    return HorizonResult(time=measured.span, exceeded=False)
+    above = np.flatnonzero(windowed.scores > threshold)
+    if not above.size:
+        return HorizonResult(time=measured.span, exceeded=False)
+    j = int(above[0])
+    time = (windowed.boundaries[j - 1] - 1) * measured.dt if j else 0.0
+    return HorizonResult(time=time, exceeded=True)
 
 
 def prediction_horizon(measured: UniformSeries, simulated: UniformSeries,
@@ -314,7 +313,7 @@ class CandidateScore:
     @property
     def full_nrmse(self) -> float:
         """The whole-series score: the last prefix of the profile."""
-        return self.windowed.scores[-1]
+        return self.windowed.scores[-1].item()
 
 
 @dataclass(frozen=True)
@@ -333,7 +332,7 @@ class ComparisonReport:
 
     @property
     def n_windows(self) -> int:
-        return len(self.candidates[0].windowed.boundaries)
+        return len(self.candidates[0].windowed.scores)
 
     def candidate(self, cid: str) -> CandidateScore:
         for c in self.candidates:

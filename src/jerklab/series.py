@@ -23,7 +23,12 @@ class SeriesMeta:
 
 
 def _as_array(name: str, values: Iterable[float]) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)  # a copy the caller cannot reach
+    try:
+        out = np.array(values, dtype=np.float64)  # a copy the caller cannot reach
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a 1-D sequence of real numbers within float64 range"
+        ) from None
     if out.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got shape {out.shape}")
     bad = np.flatnonzero(~np.isfinite(out))

@@ -153,8 +153,8 @@ def criterion_4():
     m, s = _random_pair(random.Random(4), n=500)
     if nrmse(m, s) != nrmse(m, s):
         _fail(4, label, "nrmse is not bit-reproducible")
-    if (cumulative_nrmse(m, s, 10).scores
-            != cumulative_nrmse(m, s, 10).scores):
+    if (cumulative_nrmse(m, s, 10).scores.tobytes()
+            != cumulative_nrmse(m, s, 10).scores.tobytes()):
         _fail(4, label, "cumulative nrmse is not bit-reproducible")
     b = _uniform([1e-9 * math.exp(0.3 * k) for k in range(500)])
     a = _uniform([0.0] * 500)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from jerklab import MeanFrom, Method, Sign, SystemState, format_float, parse_trace
+from jerklab import (MeanFrom, Method, Sign, SystemState, build_comparison,
+                     format_float, load_trace, parse_trace)
 from jerklab import cli
 from jerklab.cli import CompareConfig, SimulateConfig, main
 
@@ -183,6 +184,23 @@ class TestCompare:
         assert int(final[0]) == 101
         for cand, cell in zip(doc["candidates"], final[1:]):
             assert float(cell) == cand["full_nrmse"]
+
+    def test_report_holds_only_python_numbers(self, trace_dir):
+        # json.dumps refuses numpy integers, and a tracer sums the
+        # boundaries: no numpy scalar may reach the report.
+        traces = {name: load_trace(path) for name, path in trace_dir[1].items()}
+        measured = traces.pop("measured")
+        report = build_comparison(measured, traces, 101, 5, threshold=0.1)
+        payload = cli._report_payload(report, 0.1)
+        assert type(payload["n_windows"]) is int
+        assert [type(v) for v in payload["grid"].values()] == [float, float, int, float]
+        for entry in payload["candidates"]:
+            assert [type(b) for b in entry["boundaries"]] == [int] * 5
+            assert [type(s) for s in entry["scores"]] == [float] * 5
+            assert type(entry["full_nrmse"]) is float
+            assert type(entry["horizon_time"]) is float
+        assert {c["horizon_exceeded"] for c in payload["candidates"]} == {False, True}
+        json.dumps(payload)
 
     def test_auto_format_sniffs_first_non_blank_line(self, capsys, trace_dir):
         # A leading blank line before a tab-separated header: the sniffer

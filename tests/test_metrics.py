@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jerklab import (
     CandidateScore,
@@ -26,6 +27,7 @@ from jerklab import (
     Method,
     Sign,
     SystemState,
+    TimeSeries,
     UniformSeries,
     ValidationError,
     WindowedNrmse,
@@ -41,7 +43,7 @@ from jerklab import (
 )
 
 from jerklab import metrics
-from jerklab.metrics import _prefix_scores
+from jerklab.metrics import _prefix_scores, _window_ends
 
 from conftest import (
     assert_bit_equal,
@@ -159,6 +161,24 @@ class TestNrmse:
         assert nrmse(m, s) == nrmse(m, s)
 
 
+@st.composite
+def _window_counts(draw):
+    """``(n, k)``: up to 10**6 samples, and k of 1, 2, n - 1, n or any in [1, n]."""
+    n = draw(st.integers(1, 10**6))
+    edges = [k for k in (1, 2, n - 1, n) if 1 <= k <= n]
+    return n, draw(st.sampled_from(edges) | st.integers(1, n))
+
+
+class TestWindowEnds:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_window_counts())
+    def test_ends_are_pythons_round(self, counts):
+        n, k = counts
+        ends = _window_ends(n, k)
+        assert ends.dtype == np.int64
+        assert ends.tolist() == [round(j * n / k) for j in range(1, k + 1)]
+
+
 class TestCumulativeNrmse:
     def test_boundaries_for_the_standard_layout(self):
         m = mk_uniform(np.sin(np.arange(4700) * 0.01))
@@ -202,7 +222,7 @@ class TestCumulativeNrmse:
     def test_identity_gives_all_zero_scores(self):
         m = mk_uniform(np.cos(np.arange(100) * 0.3))
         w = cumulative_nrmse(m, m, 5)
-        assert w.scores == (0.0,) * 5
+        assert w.scores.tolist() == [0.0] * 5
 
     def test_degenerate_prefix_carries_window_index(self):
         # First quarter constant and equal on both sides: the window-1
@@ -358,7 +378,7 @@ class TestOverflowingScores:
         for mean_from in MeanFrom:
             assert_bit_equal(nrmse(m, m, mean_from), 0.0, mean_from.value)
             windowed = cumulative_nrmse(m, m, 4, mean_from)
-            assert windowed.scores == (0.0, 0.0, 0.0, 0.0)
+            assert windowed.scores.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestScoreRoundings:
@@ -577,6 +597,10 @@ def test_non_finite_value_is_a_validation_error(where, value, shown):
 _FLOATS = {"None": None, "abc": "abc", "10**400": 10**400}
 _NAMES = {"None": None, "nan": math.nan, "10**400": 10**400}
 _INDICES = {"None": None, "abc": "abc", "nan": math.nan, "1.5": 1.5}
+# Elements numpy cannot turn into float64: a string, an int past its range
+# and a complex number.
+_NOT_REALS = {"['abc']": ["abc"], "[10**400]": [10**400], "[1j]": [1j]}
+_UNREAL = "{} must be a 1-D sequence of real numbers within float64 range"
 _ARGUMENTS = {
     "prediction_horizon": (lambda v: prediction_horizon(*_PAIR, v),
                            "threshold must be > 0, got {!r}", _FLOATS),
@@ -588,8 +612,15 @@ _ARGUMENTS = {
                          "t0 must be finite, got {!r}", _FLOATS),
     "UniformSeries.dt": (lambda v: UniformSeries(0.0, v, [0.0]),
                          "dt must be finite and > 0, got {!r}", _FLOATS),
-    "WindowedNrmse.scores": (lambda v: WindowedNrmse((1, 2), (0.1, v)),
-                             "scores must be finite and >= 0, got {!r}", _FLOATS),
+    "WindowedNrmse.scores": (lambda v: WindowedNrmse(2, (0.1, v)),
+                             # numpy reads None as nan, which is refused as such
+                             {"None": "scores[1] must be finite, got nan",
+                              "abc": _UNREAL.format("scores"),
+                              "10**400": _UNREAL.format("scores")}, _FLOATS),
+    "TimeSeries.t": (lambda v: TimeSeries(v, [0.0]), _UNREAL.format("t"), _NOT_REALS),
+    "TimeSeries.v": (lambda v: TimeSeries([0.0], v), _UNREAL.format("v"), _NOT_REALS),
+    "UniformSeries.values": (lambda v: UniformSeries(0.0, 1.0, v),
+                             _UNREAL.format("values"), _NOT_REALS),
     "select_reference": (lambda v: select_reference({"{a}": v}),
                          "score for '{a}' must be finite, got {!r}", _FLOATS),
     "Method.parse": (Method.parse,
@@ -597,8 +628,8 @@ _ARGUMENTS = {
     "MeanFrom.parse": (MeanFrom.parse,
                        "mean_from must be 'simulated' or 'measured', got {!r}", _NAMES),
     "Sign.parse": (Sign.parse, "sign must be 'minus' or 'plus', got {!r}", _NAMES),
-    "WindowedNrmse.boundaries": (lambda v: WindowedNrmse((v, 2), (0.1, 0.2)),
-                                 "boundaries are 1-based and must be >= 1", _INDICES),
+    "WindowedNrmse.samples": (lambda v: WindowedNrmse(v, (0.1, 0.2)),
+                              "samples must be an integer >= 2, got {!r}", _INDICES),
 }
 
 
@@ -610,7 +641,10 @@ def test_argument_of_the_wrong_kind_is_a_validation_error(where, shown):
     value = values[shown]
     with pytest.raises(ValidationError) as info:
         call(value)
-    assert str(info.value) == message.replace("{!r}", repr(value))
+    if isinstance(message, dict):  # one text per value
+        assert str(info.value) == message[shown]
+    else:
+        assert str(info.value) == message.replace("{!r}", repr(value))
 
 
 # A series of the other kind: a simulated channel where a raw trace belongs,
@@ -704,23 +738,57 @@ class TestEveryAcceptedMeanFromIsRead:
 
 
 class TestWindowedNrmseValidation:
-    def test_rejects_non_increasing_boundaries(self):
-        with pytest.raises(ValidationError):
-            WindowedNrmse(boundaries=(5, 5), scores=(0.1, 0.2))
+    def test_rejects_fewer_samples_than_scores(self):
+        with pytest.raises(ValidationError) as info:
+            WindowedNrmse(samples=2, scores=(0.1, 0.2, 0.3))
+        assert str(info.value) == "samples must be an integer >= 3, got 2"
 
-    def test_rejects_zero_based_boundary(self):
-        with pytest.raises(ValidationError):
-            WindowedNrmse(boundaries=(0, 5), scores=(0.1, 0.2))
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValidationError) as info:
+            WindowedNrmse(samples=0, scores=(0.1,))
+        assert str(info.value) == "samples must be an integer >= 1, got 0"
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            WindowedNrmse(boundaries=(1, 2), scores=(0.1,))
+    def test_rejects_empty_scores(self):
+        for samples in (0, 5):
+            with pytest.raises(ValidationError) as info:
+                WindowedNrmse(samples=samples, scores=())
+            assert str(info.value) == "scores must be non-empty and >= 0"
 
     def test_rejects_bad_scores(self):
-        with pytest.raises(ValidationError):
-            WindowedNrmse(boundaries=(1, 2), scores=(0.1, -0.2))
-        with pytest.raises(ValidationError):
-            WindowedNrmse(boundaries=(1, 2), scores=(0.1, math.nan))
+        with pytest.raises(ValidationError) as info:
+            WindowedNrmse(samples=2, scores=(0.1, -0.2))
+        assert str(info.value) == "scores must be non-empty and >= 0"
+        with pytest.raises(ValidationError) as info:
+            WindowedNrmse(samples=2, scores=(0.1, math.nan))
+        assert str(info.value) == "scores[1] must be finite, got nan"
+
+    def test_scores_are_one_read_only_array(self):
+        source = [0.3, 0.1, 0.2]
+        w = WindowedNrmse(samples=10, scores=source)
+        assert w.scores.dtype == np.float64 and w.scores.ndim == 1
+        assert not w.scores.flags.writeable
+        with pytest.raises(ValueError):
+            w.scores[0] = 0.0
+        source[0] = 9.0  # a copy the caller cannot reach
+        assert w.scores.tolist() == [0.3, 0.1, 0.2]
+        m = mk_uniform(np.cos(np.arange(50) * 0.3))
+        s = mk_uniform(np.sin(np.arange(50) * 0.3))
+        assert not cumulative_nrmse(m, s, 5).scores.flags.writeable
+        scores = _prefix_scores(m.values, s.values, [10, 50], MeanFrom.SIMULATED)
+        assert scores.dtype == np.float64 and not scores.flags.writeable
+
+    def test_boundaries_are_derived_python_ints(self):
+        w = WindowedNrmse(samples=np.int64(10), scores=(0.1, 0.2, 0.3, 0.4))
+        assert type(w.samples) is int and w.samples == 10
+        assert w.boundaries == (2, 5, 8, 10)  # round(2.5) and round(7.5) go to even
+        assert all(type(b) is int for b in w.boundaries)
+        with pytest.raises(TypeError):
+            WindowedNrmse(samples=10, scores=(0.1,), boundaries=(10,))
+
+    def test_equality_is_identity(self):
+        w = WindowedNrmse(samples=4, scores=(0.0, 0.5))
+        assert w == w
+        assert w != WindowedNrmse(samples=4, scores=(0.0, 0.5))
 
 
 class TestSelectReference:
@@ -763,7 +831,7 @@ class TestPredictionHorizon:
         r = prediction_horizon(m, m, threshold=1.0, n_windows=4)
         assert not r.exceeded
         assert r.time == m.span
-        assert cumulative_nrmse(m, m, 4).scores == (0.0,) * 4
+        assert cumulative_nrmse(m, m, 4).scores.tolist() == [0.0] * 4
 
     def test_crossing_mid_series(self):
         # Candidate equals the measurement for three quarters, then jumps:
@@ -776,7 +844,7 @@ class TestPredictionHorizon:
         r = prediction_horizon(m, s, threshold=1.0, n_windows=4)
         w = cumulative_nrmse(m, s, 4)
         assert w.boundaries == (10, 20, 30, 40)
-        assert w.scores[:3] == (0.0, 0.0, 0.0)
+        assert w.scores[:3].tolist() == [0.0, 0.0, 0.0]
         assert w.scores[3] > 1.0
         assert r.exceeded
         assert r.time == (30 - 1) * self.DT
@@ -968,7 +1036,8 @@ class TestBuildComparison:
 
         def scored(**settings):
             report = build_comparison(self._measured(), self._candidates(), **settings)
-            return repr([(c.windowed.scores, c.horizon) for c in report.candidates])
+            return repr([(c.windowed.scores.tolist(), c.horizon)
+                         for c in report.candidates])
 
         before = scored()
         for p in keywords:
@@ -1013,7 +1082,9 @@ class TestBuildComparison:
                 want = prediction_horizon(m, sim, threshold, n_windows=5)
                 assert got.exceeded == want.exceeded
                 assert_bit_equal(got.time, want.time, f"{cid}@{threshold}")
-                assert report.candidate(cid).windowed == cumulative_nrmse(m, sim, 5)
+                got, want = report.candidate(cid).windowed, cumulative_nrmse(m, sim, 5)
+                assert (got.samples, got.boundaries) == (want.samples, want.boundaries)
+                assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_bad_threshold_rejected_before_scoring(self, monkeypatch):
         monkeypatch.setattr(metrics, "cumulative_nrmse", None)
@@ -1029,7 +1100,7 @@ class TestBuildComparison:
     def test_report_derives_reference_full_scores_and_window_count(self):
         profiles = {"c": (0.05, 0.2), "b": (0.1, 0.2), "a": (0.3, 0.9)}
         candidates = tuple(
-            CandidateScore(id=cid, windowed=WindowedNrmse((5, 8, 10), (s, s, last)))
+            CandidateScore(id=cid, windowed=WindowedNrmse(10, (s, s, last)))
             for cid, (s, last) in profiles.items())
         report = ComparisonReport(grid=CommonGrid(0.0, 1.0, 10),
                                   mean_from=MeanFrom.SIMULATED,
