@@ -15,13 +15,19 @@ are read on one of two paths:
   parses each cell as ``float()`` does, bit for bit, and refuses the same
   cells. A body of at least two shares of ``_SPLIT_FLOOR`` bytes is cut at
   line ends into one share per usable CPU (fewer when it is shorter): forked
-  children parse the first shares and send the cells back through pipes,
-  this process the rest (the last share, or every share from a pipe or fork
-  the system refuses). loadtxt parses row by row, so the joined cells have
-  the bits of a single call; one :class:`TimeSeries` check covers the seams.
-  A share that fails or comes back short sends the file to the scan. Each
-  process reads its share alone: :func:`load_trace` by one ``os.pread``, as
-  forked processes share the file offset (a pipe is read whole), while
+  children parse the first shares and send back through pipes a row count,
+  then the cells from the parsed array itself; this process parses the rest
+  (the last share, or every share from a pipe or fork the system refuses),
+  reads every count, reads each child's rows in blocks into one (2, n) array
+  of times and values, copies its own rows in last, and the
+  :class:`TimeSeries` adopts that array, whose rows become its ``t`` and
+  ``v``. loadtxt parses row by row, so the joined cells have the bits of a
+  single call; one series check covers the seams. A share that fails, comes
+  back short or longer than its count, or whose child exits non-zero sends
+  the file to the scan; a fault in this process's own share kills the
+  children before it is raised. Each process reads its share alone:
+  :func:`load_trace` by one ``os.pread``, as forked processes share the
+  file offset (a pipe is read whole), while
   :func:`parse_trace` gates the body and reads its last share in place.
   Without ``os.fork``, beside another Python thread or with SIGCHLD
   ignored, the body is one share. Python 3.12+ warns when a process holding
@@ -63,6 +69,9 @@ _BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
 #: The fewest body bytes the gated read gives one process: a body of
 #: k * _SPLIT_FLOOR bytes or more is parsed in up to k processes at once.
 _SPLIT_FLOOR = 750_000
+#: The most rows of a child's cells the calling process holds outside the
+#: joined array while it reads them into place (64 KiB).
+_BLOCK_ROWS = 4096
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -149,51 +158,81 @@ def _share(read, lo: int, hi: int, delimiter: str, cols: tuple[int, int]):
 
 
 def _child(out, cells):
-    """In a forked child: write the array ``cells()`` to the pipe ``out``,
-    then end the process, with status 0 only when every cell was written.
+    """In a forked child: write the row count of the n-by-2 array ``cells()``
+    to the pipe ``out`` as 8 bytes, then its cells from the array itself,
+    and end the process, with status 0 only when every byte was written.
     Never returns into the caller's code and flushes no stdio buffer."""
     gc.disable()  # a collection here could run finalizers of the parent's objects
     status = 1
     try:
-        out.write(cells().tobytes())
+        rows = cells()
+        out.write(len(rows).to_bytes(8, "little"))
+        out.write(rows)  # from the array's own buffer (loadtxt's is C-contiguous)
         out.close()
         status = 0
     finally:
         os._exit(status)
 
 
+def _read_rows(pipe, into: np.ndarray) -> None:
+    """Fill the (2, m) array ``into`` with the m rows of cells that end the
+    binary file ``pipe``, read _BLOCK_ROWS rows at a time; else ValueError."""
+    m = into.shape[1]
+    block = np.empty((_BLOCK_ROWS, 2))
+    for at in range(0, m, _BLOCK_ROWS):
+        part = block[:m - at]
+        if pipe.readinto(part) != part.nbytes:
+            raise ValueError("a share came back short")
+        into[:, at:at + len(part)] = part.T
+    if pipe.read(1):
+        raise ValueError("a share came back longer than its row count")
+
+
 def _split_loadtxt(cuts: list[int], share) -> np.ndarray:
     """The cells of the body cut at ``cuts``, where ``share(lo, hi)`` gives
-    those of one share: forked children parse the first shares, this
-    process the rest of the body. A child that fails raises ValueError here."""
+    those of one share as an n-by-2 array, in one C-contiguous (2, n) array
+    of times and values: forked children parse the first shares, this
+    process the rest of the body, then reads each child's cells into place
+    and copies its own last. A child that fails raises ValueError here; when
+    anything is raised, the children still running are killed."""
     pids, pipes = [], []
     try:
         with contextlib.suppress(OSError):  # a refused pipe or fork
             for lo, hi in zip(cuts[:-2], cuts[1:-1]):
                 r, w = os.pipe()
-                pipes.append(open(r, "rb"))  # reads b"" if the fork is refused
+                pipes.append(open(r, "rb"))
                 with open(w, "wb") as out:  # the parent's write end closes here
                     pid = os.fork()
                     if pid == 0:
-                        # Holding no read end, a child whose pipe the parent
-                        # closed unread stops at a broken pipe, not a full one.
+                        # Holding no read end, a child whose pipe is closed
+                        # unread (its parent gone) stops at a broken pipe,
+                        # not a full one.
                         for pipe in pipes:
                             pipe.close()
                         _child(out, lambda: share(lo, hi))
                 pids.append(pid)
         cells = share(cuts[len(pids)], cuts[-1])
-        shares = [pipe.read() for pipe in pipes]
+        counts = [pipe.read(8) for pipe in pipes[:len(pids)]]  # not a refused fork's
+        if any(len(count) < 8 for count in counts):
+            raise ValueError("a share of the body did not parse")
+        rows = [int.from_bytes(count, "little") for count in counts]
+        joined = np.empty((2, sum(rows) + len(cells)))
+        at = 0
+        for pipe, m in zip(pipes, rows):
+            _read_rows(pipe, joined[:, at:at + m])
+            at += m
+        joined[:, at:] = cells.T
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # its share is no longer wanted
+        raise
     finally:
         for pipe in pipes:
-            pipe.close()  # a child still writing stops at a broken pipe
+            pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     if any(statuses):
         raise ValueError("a share of the body did not parse")
-    if not shares:
-        return cells
-    # A pipe cut short ends within a row, which frombuffer or reshape refuses.
-    return np.concatenate(
-        [*(np.frombuffer(b, dtype=np.float64).reshape(-1, 2) for b in shares), cells])
+    return joined
 
 
 def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
@@ -205,9 +244,9 @@ def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
         if len(header) == 1 and header[0].strip():
             delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
             # A size below the header's (0 for /proc files) reads no body.
-            cells = _split_loadtxt(_cuts(find, len(head), max(end, len(head))),
-                                   lambda lo, hi: _share(read, lo, hi, delimiter, cols))
-            return TimeSeries(t=cells[:, 0], v=cells[:, 1], meta=meta)
+            joined = _split_loadtxt(_cuts(find, len(head), max(end, len(head))),
+                                    lambda lo, hi: _share(read, lo, hi, delimiter, cols))
+            return TimeSeries._adopt(joined, meta)
     lines = _lines(whole())
     # Line 0 stands for a missing header: every line is blank.
     start, header = next(_numbered(lines), (0, ""))

@@ -1,7 +1,10 @@
 """Trace containers: raw (possibly non-uniform) and uniform-grid series.
 
-Samples are read-only 1-D float64 arrays, copied and validated once; series
-compare by identity.
+Samples are read-only 1-D float64 arrays, validated once; series compare by
+identity. The constructors copy what they are given. A trace file's gated
+read builds its ``(2, n)`` array itself and hands it over whole: the series
+adopts it after the constructor's checks, and its ``t`` and ``v`` are that
+array's two rows.
 """
 
 from __future__ import annotations
@@ -31,12 +34,21 @@ def _as_array(name: str, values: Iterable[float]) -> np.ndarray:
         ) from None
     if out.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got shape {out.shape}")
+    _require_finite(name, out, values)
+    out.flags.writeable = False
+    return out
+
+
+def _require_finite(name: str, out: np.ndarray, given=None) -> None:
+    """``ValidationError`` naming the first element of ``out`` that is not
+    finite, shown as ``None`` where the sequence ``given`` it was converted
+    from holds ``None`` (which numpy reads as nan)."""
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"{name}[{i}] must be finite, got {float(out[i])!r}")
-    out.flags.writeable = False
-    return out
+        none = isinstance(given, (list, tuple, np.ndarray)) and given[i] is None
+        shown = None if none else float(out[i])
+        raise ValidationError(f"{name}[{i}] must be finite, got {shown!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +64,25 @@ class TimeSeries:
     meta: SeriesMeta = field(default_factory=SeriesMeta)
 
     def __post_init__(self):
-        t = _as_array("t", self.t)
-        v = _as_array("v", self.v)
+        self._take(_as_array("t", self.t), _as_array("v", self.v))
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray, meta: SeriesMeta) -> TimeSeries:
+        """The series whose ``t`` and ``v`` are the two rows of the
+        C-contiguous ``(2, n)`` float64 array ``rows``, without a copy.
+        ``rows`` is made read-only and must have no other holder."""
+        rows.flags.writeable = False
+        t, v = rows
+        _require_finite("t", t)
+        _require_finite("v", v)
+        series = object.__new__(cls)
+        object.__setattr__(series, "meta", meta)
+        series._take(t, v)
+        return series
+
+    def _take(self, t: np.ndarray, v: np.ndarray) -> None:
+        """Check the read-only, finite arrays ``t`` and ``v`` as a series and
+        make them its samples."""
         if len(t) != len(v):
             raise ValidationError(
                 f"t and v must have equal length, got {len(t)} and {len(v)}"

@@ -8,6 +8,7 @@ import os
 import random
 import signal
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -621,6 +622,23 @@ def _cpus(monkeypatch, count: int):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+@pytest.fixture
+def kills(monkeypatch) -> list:
+    """(pid, signal) of each ``os.kill`` call, which still goes through."""
+    calls = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill",
+                        lambda pid, sig: calls.append((pid, sig)) or kill(pid, sig))
+    return calls
+
+
+def _noisy_rows(seed: int, rows: int) -> str:
+    """A tab-separated text of ``rows`` clean rows, the time in column 1."""
+    rng = random.Random(seed)
+    return "V(x)\tTime\n" + "".join(
+        f"{rng.gauss(0.0, 1.0)!r}\t{k + rng.random()!r}\n" for k in range(rows))
+
+
 class TestSplitRead:
     """The gated read in several processes: a body of k shares of at least
     ``_SPLIT_FLOOR`` bytes each is parsed in k processes at once."""
@@ -692,26 +710,97 @@ class TestSplitRead:
         assert split.value.line == one.value.line == 40
         _no_child_left()
 
-    def test_fault_in_the_parent_share_leaves_no_child(self, monkeypatch, forks):
-        # This process parses the last share, which holds the bad cell.
+    def test_fault_in_the_parent_share_kills_the_child(self, monkeypatch, kills):
+        # This process parses the last share, which holds the bad cell. The
+        # child's share would be thrown away, so the child is killed, not
+        # waited for: here it would sleep for a minute.
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
         _cpus(monkeypatch, 2)
+        pids = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+
+        def sleeper(out, cells):
+            try:
+                time.sleep(60)
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(ingest, "_child", sleeper)
         text = "t,v\n0,1\n1,2\n2,3\n3,\n"
         raw = text.encode()
         assert _cuts(raw, 4)[-2] <= raw.index(b"3,\n")
+        began = time.monotonic()
         with pytest.raises(ParseError) as info:
             parse_trace(text)
+        assert time.monotonic() - began < 30
         assert str(info.value) == "line 5: not a number: ''"
         assert info.value.line == 5
-        assert len(forks) == 1
+        assert len(pids) == 1 and kills == [(pids[0], signal.SIGKILL)]
+        _no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_series_adopts_the_array_it_was_read_into(
+            self, tmp_path, monkeypatch, forks, no_scan, kills, cpus):
+        # Every child's rows pass through several blocks, the last one
+        # partial, into one (2, n) array that the series keeps as its t and v.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
+        _cpus(monkeypatch, cpus)
+        text = _noisy_rows(20261030, 40)
+        assert len(_cuts(text.encode(), text.index("\n") + 1)) == cpus + 1
+        want = _outcome(_reference_auto, text)
+        for read in (parse_trace, _load(tmp_path)):
+            series = read(text)
+            rows = series.t.base
+            assert rows is series.v.base and rows.shape == (2, 40)
+            assert rows.flags.c_contiguous and series.t.flags.c_contiguous
+            assert not (rows.flags.writeable or series.t.flags.writeable
+                        or series.v.flags.writeable)
+            assert (series.t.tobytes(), series.v.tobytes(), series.meta) == want
+        assert len(forks) == 2 * (cpus - 1) and kills == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("sent, status", [
+        (lambda count, cells: count[:4], 0),
+        (lambda count, cells: b"", 0),
+        (lambda count, cells: count + cells[:-16], 0),
+        (lambda count, cells: count + cells[:-8], 0),
+        (lambda count, cells: count + cells + cells[:16], 0),
+        (lambda count, cells: count + cells, 1),
+    ], ids=["short-count", "nothing", "a-row-fewer", "half-a-row-fewer",
+            "a-row-more", "exit-status-1"])
+    def test_child_that_sends_a_wrong_share_sends_the_file_to_the_scan(
+            self, monkeypatch, forks, scans, sent, status):
+        # The child parses its share, then sends ``sent`` of its count and
+        # cells and exits with ``status``; the scan reads the file to the
+        # reference outcome, here a series.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
+        _cpus(monkeypatch, 2)
+
+        def child(out, cells):
+            try:
+                rows = cells()
+                out.write(sent(len(rows).to_bytes(8, "little"), rows.tobytes()))
+                out.close()
+            finally:
+                os._exit(status)
+
+        text = _noisy_rows(20261031, 40)
+        want = _outcome(_reference_auto, text)
+        assert not isinstance(want[0], type)
+        monkeypatch.setattr(ingest, "_child", child)
+        assert _outcome(parse_trace, text) == want
+        assert len(forks) == 1 and scans == [1]
         _no_child_left()
 
     def test_fault_in_the_parent_share_ends_a_child_with_a_full_pipe(
             self, monkeypatch):
         # The child's cells overflow its pipe's buffer (64 KiB on Linux).
         # When the parent's share, the last, fails on its last row, the
-        # parent closes the pipe unread, and the child must stop at a broken
-        # pipe, not wait to write.
+        # parent leaves the pipe unread, and the child must stop, not wait
+        # to write.
         pids, hung = [], []
         fork = os.fork
 
@@ -804,8 +893,9 @@ class TestSplitRead:
     def test_reads_the_file_in_place(self, monkeypatch, forks, no_scan, cpus):
         # No copy of the body is made, which would add 1.0x. The peak is the
         # buffer bytes.translate sizes to the file (1.0x, never written for a
-        # clean body), then the cells and the series, 32 bytes a row against
-        # about 38 in a row of the benchmark captures' layout.
+        # clean body), then this process's cells and the array the series
+        # adopts, at most 32 bytes a row against about 38 in a row of the
+        # benchmark captures' layout.
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100_000)
         _cpus(monkeypatch, cpus)
         rng = random.Random(20261020)

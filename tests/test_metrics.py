@@ -597,10 +597,21 @@ def test_non_finite_value_is_a_validation_error(where, value, shown):
 _FLOATS = {"None": None, "abc": "abc", "10**400": 10**400}
 _NAMES = {"None": None, "nan": math.nan, "10**400": 10**400}
 _INDICES = {"None": None, "abc": "abc", "nan": math.nan, "1.5": 1.5}
-# Elements numpy cannot turn into float64: a string, an int past its range
-# and a complex number.
-_NOT_REALS = {"['abc']": ["abc"], "[10**400]": [10**400], "[1j]": [1j]}
+# Elements numpy cannot turn into float64 (a string, an int past its range
+# and a complex number), and a None, which numpy reads as nan.
+_NOT_REALS = {"['abc']": ["abc"], "[10**400]": [10**400], "[1j]": [1j],
+              "[None]": [None]}
 _UNREAL = "{} must be a 1-D sequence of real numbers within float64 range"
+
+
+def _array_refusals(name: str, at: int, values: dict) -> dict:
+    """The text each of ``values`` is refused with as the array argument
+    ``name``: a None, at index ``at``, is named as such, not as nan."""
+    return {shown: f"{name}[{at}] must be finite, got None"
+            if shown.strip("[]") == "None" else _UNREAL.format(name)
+            for shown in values}
+
+
 _ARGUMENTS = {
     "prediction_horizon": (lambda v: prediction_horizon(*_PAIR, v),
                            "threshold must be > 0, got {!r}", _FLOATS),
@@ -613,14 +624,13 @@ _ARGUMENTS = {
     "UniformSeries.dt": (lambda v: UniformSeries(0.0, v, [0.0]),
                          "dt must be finite and > 0, got {!r}", _FLOATS),
     "WindowedNrmse.scores": (lambda v: WindowedNrmse(2, (0.1, v)),
-                             # numpy reads None as nan, which is refused as such
-                             {"None": "scores[1] must be finite, got nan",
-                              "abc": _UNREAL.format("scores"),
-                              "10**400": _UNREAL.format("scores")}, _FLOATS),
-    "TimeSeries.t": (lambda v: TimeSeries(v, [0.0]), _UNREAL.format("t"), _NOT_REALS),
-    "TimeSeries.v": (lambda v: TimeSeries([0.0], v), _UNREAL.format("v"), _NOT_REALS),
+                             _array_refusals("scores", 1, _FLOATS), _FLOATS),
+    "TimeSeries.t": (lambda v: TimeSeries(v, [0.0]),
+                     _array_refusals("t", 0, _NOT_REALS), _NOT_REALS),
+    "TimeSeries.v": (lambda v: TimeSeries([0.0], v),
+                     _array_refusals("v", 0, _NOT_REALS), _NOT_REALS),
     "UniformSeries.values": (lambda v: UniformSeries(0.0, 1.0, v),
-                             _UNREAL.format("values"), _NOT_REALS),
+                             _array_refusals("values", 0, _NOT_REALS), _NOT_REALS),
     "select_reference": (lambda v: select_reference({"{a}": v}),
                          "score for '{a}' must be finite, got {!r}", _FLOATS),
     "Method.parse": (Method.parse,

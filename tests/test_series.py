@@ -115,6 +115,45 @@ class TestArrayContract:
         assert ts.t.tolist() == [0.0, 1.0, 2.0]
         assert ts.v.tolist() == [1.0, 2.0, 3.0]
 
+    def test_read_only_input_is_copied(self):
+        # Read-only views of a base the caller holds: the base can be made
+        # writeable again, so the constructor copies them too.
+        base = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        base.flags.writeable = False
+        ts = mk_ts(base[0], base[1])
+        base.flags.writeable = True
+        base[:] = -1.0
+        assert ts.t.tolist() == [0.0, 1.0, 2.0]
+        assert ts.v.tolist() == [3.0, 4.0, 5.0]
+        assert not np.shares_memory(ts.t, base) and not np.shares_memory(ts.v, base)
+
+    def test_adoption_takes_the_rows_without_a_copy(self):
+        rows = np.array([[0.0, 0.5, 2.0], [1.0, -1.0, 3.0]])
+        meta = SeriesMeta(source_id="scope", signal="xdd")
+        ts = TimeSeries._adopt(rows, meta)
+        assert ts.t.base is rows and ts.v.base is rows
+        assert ts.t.tolist() == [0.0, 0.5, 2.0] and ts.v.tolist() == [1.0, -1.0, 3.0]
+        assert ts.meta is meta
+        assert ts.t.flags.c_contiguous and ts.v.flags.c_contiguous
+        assert not (rows.flags.writeable or ts.t.flags.writeable
+                    or ts.v.flags.writeable)
+
+    @pytest.mark.parametrize("t, v", [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, math.inf]),
+        ([0.0, -math.inf], [1.0, 2.0]),
+        ([0.0, 1.0, 0.5], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0], [1.0]),
+        ([], []),
+    ], ids=["non-finite-v", "non-finite-t", "decreasing", "repeated", "one-row",
+            "empty"])
+    def test_adoption_refuses_as_the_constructor_does(self, t, v):
+        with pytest.raises(ValidationError) as built:
+            TimeSeries(t, v)
+        with pytest.raises(ValidationError) as adopted:
+            TimeSeries._adopt(np.array([t, v], dtype=np.float64), SeriesMeta())
+        assert str(adopted.value) == str(built.value)
+
     def test_rejects_2d_input(self):
         with pytest.raises(ValidationError, match="1-D"):
             mk_uniform([[1.0, 2.0], [3.0, 4.0]])
