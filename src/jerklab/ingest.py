@@ -1,6 +1,6 @@
 """Parsers and writers for trace files.
 
-Two text layouts are read, with LF or CRLF line endings: comma-separated
+Two text layouts are read, with LF, CRLF or CR line ends: comma-separated
 ``time,value`` rows (the layout :func:`write_series_csv` writes) and
 tab-separated exports from SPICE-style circuit simulators, whose header names
 a ``time`` column. Blank lines are skipped but keep their physical numbering;
@@ -11,27 +11,28 @@ are read on one of two paths:
 * the gated read: when the header is line 1 and every byte after it is an
   ASCII digit, ``.``, ``e``, ``E``, ``+``, ``-``, CR, LF or the delimiter,
   only the header is decoded, and each share of the body is checked against
-  that alphabet and read by one :func:`numpy.loadtxt` call, which within it
-  parses each cell as ``float()`` does, bit for bit, and refuses the same
-  cells. A body of at least two shares of ``_SPLIT_FLOOR`` bytes is cut at
-  line ends into one share per usable CPU (fewer when it is shorter): forked
-  children parse the first shares and send back through pipes a row count,
-  then the cells from the parsed array itself; this process parses the rest
-  (the last share, or every share from a pipe or fork the system refuses),
-  reads every count, reads each child's rows in blocks into one (2, n) array
-  of times and values, copies its own rows in last, and the
-  :class:`TimeSeries` adopts that array, whose rows become its ``t`` and
-  ``v``. loadtxt parses row by row, so the joined cells have the bits of a
-  single call; one series check covers the seams. A share that fails, comes
-  back short or longer than its count, or whose child exits non-zero sends
-  the file to the scan; a fault in this process's own share kills the
-  children before it is raised. Each process reads its share alone:
-  :func:`load_trace` by one ``os.pread``, as forked processes share the
-  file offset (a pipe is read whole), while
-  :func:`parse_trace` gates the body and reads its last share in place.
-  Without ``os.fork``, beside another Python thread or with SIGCHLD
-  ignored, the body is one share. Python 3.12+ warns when a process holding
-  other OS threads (a BLAS pool) forks; the split is tested on 3.11 only;
+  that alphabet and read from the checked bytes by the C reader of
+  :func:`numpy.loadtxt`, which pulls 16,384-character chunks through the
+  buffer's ``read()``, parses each cell as ``float()`` does, bit for bit,
+  and refuses the same cells. A body of at least two shares of
+  ``_SPLIT_FLOOR`` bytes is cut at line ends into one share per usable CPU
+  (fewer when it is shorter): forked children parse the first shares and
+  send back through pipes a row count, then the cells from the parsed array
+  itself; this process parses the rest (the last share, or every share from
+  a pipe or fork the system refuses), reads every count, reads each child's
+  rows in blocks into one (2, n) array of times and values, copies its own
+  rows in last, and the :class:`TimeSeries` adopts that array, whose rows
+  become its ``t`` and ``v``. The reader parses row by row, so the joined
+  cells have the bits of a single call; one series check covers the seams. A
+  share that fails, comes back short or longer than its count, or whose
+  child exits non-zero sends the file to the scan; a fault in this process's
+  own share kills the children before it is raised. Each process reads its
+  share alone: :func:`load_trace` by one ``os.pread``, as forked processes
+  share the file offset (a pipe is read whole), while :func:`parse_trace`
+  gates the body and reads its last share in place. Without ``os.fork``,
+  beside another Python thread or with SIGCHLD ignored, the body is one
+  share. Python 3.12+ warns when a process holding other OS threads (a BLAS
+  pool) forks; the split is tested on 3.11 only;
 * the checked scan: any other file, and any file the gated read refuses or
   that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
   reported first), split into lines and read row by row with ``float()``
@@ -49,21 +50,22 @@ import math
 import os
 import signal
 import threading
-import warnings
 from itertools import islice
 from os import PathLike
 from pathlib import Path
 
 import numpy as np
+from numpy.lib._npyio_impl import _load_from_filelike
 
 from .errors import InsufficientDataError, ParseError, ValidationError
 from .series import SeriesMeta, TimeSeries, UniformSeries
 
 #: Beside the delimiter, the only bytes the gated read takes after the header.
-#: On them np.loadtxt and float() parse alike (both by PyOS_string_to_double),
-#: and no cell holds whitespace for the scan's stripping to remove. loadtxt
-#: ends a line at LF or CRLF, as str.splitlines does, and refuses a lone CR,
-#: which sends the file to the scan.
+#: On them numpy's text reader and float() parse alike (both by
+#: PyOS_string_to_double), and no cell holds whitespace for the scan's
+#: stripping to remove. The reader ends a line at LF, CRLF or a lone CR, as
+#: str.splitlines does on these bytes, also where a CRLF, a cell or a blank
+#: line spans the seam of two chunks.
 _NUMERIC = b"0123456789.eE+-\r\n"
 _BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
 #: The fewest body bytes the gated read gives one process: a body of
@@ -112,12 +114,18 @@ def _header(header: str, line: int, source_id: str):
 
 def _loadtxt(lines, delimiter: str, cols: tuple[int, int]) -> np.ndarray:
     """The (time, value) cells of the binary file ``lines`` from its
-    position on, as one n-by-2 array; a numpy warning (e.g. "input contained
-    no data") is raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(lines, delimiter=delimiter, usecols=cols,
-                          ndmin=2, comments=None, dtype=np.float64)
+    position on, as one n-by-2 array, by the C reader np.loadtxt calls with
+    np.loadtxt's arguments, except that it pulls 16,384-character chunks
+    through ``lines.read()`` instead of iterating lines. A share of no rows
+    raises ValueError, where np.loadtxt would warn."""
+    cells = _load_from_filelike(
+        lines, delimiter=delimiter, comment=None, quote=None, imaginary_unit="j",
+        usecols=list(cols), skiplines=0, max_rows=-1, converters=None,
+        dtype=np.dtype(np.float64), encoding="latin1", filelike=True,
+        byte_converters=False)
+    if not len(cells):
+        raise ValueError("the share holds no rows")
+    return cells
 
 
 def _cuts(find, start: int, end: int) -> list[int]:
@@ -167,7 +175,7 @@ def _child(out, cells):
     try:
         rows = cells()
         out.write(len(rows).to_bytes(8, "little"))
-        out.write(rows)  # from the array's own buffer (loadtxt's is C-contiguous)
+        out.write(rows)  # from the array's own buffer (the reader's is C-contiguous)
         out.close()
         status = 0
     finally:

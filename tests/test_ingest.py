@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import io
 import math
 import os
 import random
@@ -11,6 +12,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,8 +350,8 @@ class TestGatedRead:
     @pytest.mark.parametrize("data", [b"t,v\n", b"t,v", b"t,v\n\n\n",
                                       b"time\tV(x)\n", b"t,v\n0,1\n"])
     def test_no_warning_escapes(self, data):
-        # numpy warns of an empty read; the warning sends the file to the
-        # scan and is neither raised nor shown.
+        # An empty body sends the file to the scan, and no warning (such as
+        # np.loadtxt's of an input with no data) is raised or shown.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InsufficientDataError):
@@ -1132,3 +1134,164 @@ class TestFileRead:
             os.close(r)
         assert len(forks) == 2
         _no_child_left()
+
+
+#: The characters numpy's C reader pulls through each ``read()`` of a share.
+_CHUNK = 16_384
+
+
+class _ReadOnly(io.BytesIO):
+    """A buffer read only by ``read()``, which notes the size of each read."""
+
+    def __init__(self, data: bytes = b""):
+        super().__init__(data)
+        self.reads = []
+
+    def read(self, size=-1):
+        self.reads.append(size)
+        return super().read(size)
+
+    def __iter__(self):
+        raise AssertionError("the buffer was iterated line by line")
+
+    def readline(self, size=-1):
+        raise AssertionError("the buffer was read line by line")
+
+
+def _cells(read):
+    """(shape, bytes) of the array ``read()`` gives, or "refused" when it
+    raises ValueError or warns (np.loadtxt warns of an input with no rows)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cells = read()
+        except (ValueError, UserWarning):
+            return "refused"
+    return cells.shape, cells.tobytes()
+
+
+def _seamed(before: str, after: str, blocks: int = 4) -> str:
+    """A comma-separated text whose body is ``blocks`` blocks of one length,
+    each ending at a line end. In each block ``before`` ends and ``after``
+    begins _CHUNK characters in: on the seam of the first two chunks of a
+    share that begins with the block. ``before`` is a format of {a}, the
+    time of the row it starts, and ``after`` of {b}, the next row's time;
+    the rows around them are clean."""
+    body = []
+    for base in range(0, 10_000 * blocks, 10_000):
+        cut = before.format(a=f"{base + 5000:07d}")
+        rows, pad = divmod(_CHUNK - len(cut), 10)  # each row is 10 characters
+        body += ["0" * pad, *[f"{base + k:07d},{k % 7}\n" for k in range(rows)],
+                 cut, after.format(b=f"{base + 5001:07d}"),
+                 *[f"{base + k:07d},{k % 7}\n" for k in range(6000, 6003)]]
+    return "t,v\n" + "".join(body)
+
+
+# (before, after) of the seam in each block of a _seamed text.
+SEAMS = {
+    "crlf": ("{a},1\r", "\n{b},2\n"),
+    "lone-cr": ("{a},1\r", "{b},2\n"),
+    "value-cell": ("{a},1.2", "5\n{b},2\n"),
+    "time-cell": ("{a}.2", "5,1\n{b},2\n"),
+    "blank-line": ("{a},1\n", "\n{b},2\n"),
+    "blank-crlf-line": ("{a},1\r\n\r", "\n{b},2\n"),
+    "bad-cell": ("{a},1e", "e\n{b},2\n"),
+    "short-row": ("{a}0\r", "\n{b},2\n"),
+    "step-back": ("{a},1\r", "0000001,2\n"),
+}
+
+
+class TestChunkedReader:
+    """The gated read parses each share with numpy's C reader, which pulls
+    _CHUNK characters at a time through the buffer's ``read()`` and ends a
+    line at LF, CRLF or a lone CR, in a chunk or across two."""
+
+    def test_reads_only_by_read(self):
+        rows = [(k * 0.5, (k % 9) / 8) for k in range(8000)]
+        raw = b"t,v\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows).encode()
+        assert len(raw) > 3 * _CHUNK
+        lines = _ReadOnly(raw)
+        lines.seek(4)
+        cells = ingest._loadtxt(lines, ",", (0, 1))
+        assert cells.tobytes() == np.array(rows).tobytes()
+        assert set(lines.reads) == {_CHUNK} and len(lines.reads) > 3
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_every_share_reads_only_by_read(self, tmp_path, monkeypatch, forks,
+                                            no_scan, cpus):
+        # A share read line by line raises, in a child as in this process,
+        # and the scan it would fall back to raises too.
+        monkeypatch.setattr(ingest, "io", SimpleNamespace(BytesIO=_ReadOnly))
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
+        _cpus(monkeypatch, cpus)
+        text = _noisy_rows(20261101, 40)
+        want = _outcome(_reference_auto, text)
+        for read in (parse_trace, _load(tmp_path)):
+            assert _outcome(read, text) == want
+            _no_child_left()
+        assert len(forks) == 2 * (cpus - 1)
+
+    def test_matches_public_loadtxt(self, tmp_path):
+        # Each body inside the gate, read by _loadtxt and by np.loadtxt from
+        # a file of the same bytes, which numpy reads through the same C
+        # reader: the same bits, or a refusal by both. np.loadtxt of the
+        # buffer itself iterates lines, and refuses a CR inside one that the
+        # chunked reader ends a line at; on every other body it agrees.
+        rng = random.Random(20261018)  # the reference texts
+        texts = [_fuzz_text(rng, *rng.choice(LAYOUTS)) for _ in range(10_000)]
+        path = tmp_path / "body.txt"
+        counts = {"refused": 0, "read": 0, "lone CR": 0}
+        for text in texts + list(GATE_EDGES):
+            head, eol, body = text.encode("utf-8").partition(b"\n")
+            header = head.decode("utf-8").removeprefix(ingest._BOM).splitlines()
+            if not eol or len(header) != 1 or not header[0].strip():
+                continue
+            try:
+                delimiter, cols, _ = ingest._header(header[0].strip(), 1, "")
+            except ParseError:
+                continue
+            if body.translate(None, ingest._NUMERIC + delimiter.encode()):
+                continue
+            path.write_bytes(body)
+            kwargs = dict(delimiter=delimiter, usecols=cols, ndmin=2,
+                          comments=None, dtype=np.float64)
+            got = _cells(lambda: ingest._loadtxt(io.BytesIO(body), delimiter, cols))
+            assert got == _cells(lambda: np.loadtxt(path, **kwargs)), text
+            by_line = _cells(lambda: np.loadtxt(io.BytesIO(body), **kwargs))
+            # A CR that ends neither a CRLF nor the body.
+            lone_cr = b"\r" in body.replace(b"\r\n", b"\n")[:-1]
+            assert by_line == ("refused" if lone_cr else got), text
+            counts["lone CR" if lone_cr else "refused" if got == "refused"
+                   else "read"] += 1
+        assert counts["read"] >= 1500 and counts["refused"] >= 500, counts
+        assert counts["lone CR"] >= 3, counts
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_line_ends_and_cells_across_a_chunk_seam(self, tmp_path, monkeypatch,
+                                                     forks, scans, cpus):
+        # Four blocks of one length and up to four shares, each beginning
+        # with a block: each share's first chunk ends inside a line end, a
+        # cell or a blank line. A clean body takes the gated read; a faulty
+        # one goes to the scan, which names the fault's line.
+        _cpus(monkeypatch, cpus)
+        load = _load(tmp_path)
+        for name, (before, after) in SEAMS.items():
+            text = _seamed(before, after)
+            raw = text.encode()
+            block = (len(raw) - 4) // 4
+            monkeypatch.setattr(ingest, "_SPLIT_FLOOR", block)
+            cuts = _cuts(raw, 4)
+            assert cuts == [4 + 4 * block * i // cpus for i in range(cpus + 1)]
+            for lo in cuts[:-1]:
+                # Every time cell is seven digits, the first of them 0.
+                assert raw[lo + _CHUNK - 1:lo + _CHUNK + 1] == (
+                    before.format(a="0")[-1] + after.format(b="0")[0]).encode()
+            want = _outcome(_reference_auto, text)
+            clean = not isinstance(want[0], type)
+            assert clean == (name not in ("bad-cell", "short-row", "step-back"))
+            for read in (parse_trace, load):
+                forked, scanned = len(forks), len(scans)
+                assert _outcome(read, text) == want, (name, read)
+                _no_child_left()
+                assert len(forks) - forked == cpus - 1
+                assert (len(scans) == scanned) == clean, (name, read)
