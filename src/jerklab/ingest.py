@@ -17,22 +17,23 @@ are read on one of two paths:
   and refuses the same cells. A body of at least two shares of
   ``_SPLIT_FLOOR`` bytes is cut at line ends into one share per usable CPU
   (fewer when it is shorter): forked children parse the first shares and
-  send back through pipes a row count, then the cells from the parsed array
-  itself; this process parses the rest (the last share, or every share from
-  a pipe or fork the system refuses), reads every count, reads each child's
-  rows in blocks into one (2, n) array of times and values, copies its own
-  rows in last, and the :class:`TimeSeries` adopts that array, whose rows
-  become its ``t`` and ``v``. The reader parses row by row, so the joined
-  cells have the bits of a single call; one series check covers the seams. A
-  share that fails, comes back short or longer than its count, or whose
-  child exits non-zero sends the file to the scan; a fault in this process's
-  own share kills the children before it is raised. Each process reads its
-  share alone: :func:`load_trace` by one ``os.pread``, as forked processes
-  share the file offset (a pipe is read whole), while :func:`parse_trace`
-  gates the body and reads its last share in place. Without ``os.fork``,
-  beside another Python thread or with SIGCHLD ignored, the body is one
-  share. Python 3.12+ warns when a process holding other OS threads (a BLAS
-  pool) forks; the split is tested on 3.11 only;
+  send back through pipes a row count, then their times, then their values;
+  this process parses the rest (the last share, or every share from a pipe
+  or fork the system refuses), reads every count, reads each child's times
+  and values straight into one (2, n) array of times and values, copies its
+  own rows in last, and the :class:`TimeSeries` adopts that array, whose
+  rows become its ``t`` and ``v``. The reader parses row by row, so the
+  joined cells have the bits of a single call; one series check covers the
+  seams. A share that fails, comes back short or longer than its count, or
+  whose child exits non-zero sends the file to the scan; a fault in this
+  process's own share kills the children before it is raised. Each process
+  reads its share alone: :func:`load_trace` by one ``os.pread``, as forked
+  processes share the file offset (a pipe is read whole), while
+  :func:`parse_trace` gates the body and reads its last share in place.
+  Without ``os.fork``, beside another Python thread or with SIGCHLD not at
+  its default (a handler may reap a child before its status is read), the
+  body is one share. Python 3.12+'s warning at a fork beside other OS
+  threads (a BLAS pool) is ignored; the split is tested on 3.11 only;
 * the checked scan: any other file, and any file the gated read refuses or
   that :class:`TimeSeries` refuses, is decoded in full (a bad UTF-8 byte is
   reported first), split into lines and read row by row with ``float()``
@@ -50,6 +51,7 @@ import math
 import os
 import signal
 import threading
+import warnings
 from itertools import islice
 from os import PathLike
 from pathlib import Path
@@ -71,9 +73,6 @@ _BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
 #: The fewest body bytes the gated read gives one process: a body of
 #: k * _SPLIT_FLOOR bytes or more is parsed in up to k processes at once.
 _SPLIT_FLOOR = 750_000
-#: The most rows of a child's cells the calling process holds outside the
-#: joined array while it reads them into place (64 KiB).
-_BLOCK_ROWS = 4096
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -133,13 +132,13 @@ def _cuts(find, start: int, end: int) -> list[int]:
     line ends, which ``find`` finds as ``bytes.find`` does, into about equal
     shares: one per usable CPU, none under :data:`_SPLIT_FLOOR` bytes, and
     one share where ``os.fork`` is missing, another thread runs or SIGCHLD
-    is ignored."""
+    has other than its default action."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = end - start
     k = min(cpus, size // _SPLIT_FLOOR)
     if (not hasattr(os, "fork") or threading.active_count() > 1
-            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
+            or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL):
         k = 1
     cuts = [start]
     for i in range(1, k):
@@ -167,42 +166,28 @@ def _share(read, lo: int, hi: int, delimiter: str, cols: tuple[int, int]):
 
 def _child(out, cells):
     """In a forked child: write the row count of the n-by-2 array ``cells()``
-    to the pipe ``out`` as 8 bytes, then its cells from the array itself,
-    and end the process, with status 0 only when every byte was written.
-    Never returns into the caller's code and flushes no stdio buffer."""
+    to the pipe ``out`` as 8 bytes, then its times, then its values, and end
+    the process, with status 0 only when every byte was written. Never
+    returns into the caller's code and flushes no stdio buffer."""
     gc.disable()  # a collection here could run finalizers of the parent's objects
     status = 1
     try:
-        rows = cells()
+        rows = cells()  # the share's bytes are freed by now
         out.write(len(rows).to_bytes(8, "little"))
-        out.write(rows)  # from the array's own buffer (the reader's is C-contiguous)
+        out.write(np.ascontiguousarray(rows.T))  # the times, then the values
         out.close()
         status = 0
     finally:
         os._exit(status)
 
 
-def _read_rows(pipe, into: np.ndarray) -> None:
-    """Fill the (2, m) array ``into`` with the m rows of cells that end the
-    binary file ``pipe``, read _BLOCK_ROWS rows at a time; else ValueError."""
-    m = into.shape[1]
-    block = np.empty((_BLOCK_ROWS, 2))
-    for at in range(0, m, _BLOCK_ROWS):
-        part = block[:m - at]
-        if pipe.readinto(part) != part.nbytes:
-            raise ValueError("a share came back short")
-        into[:, at:at + len(part)] = part.T
-    if pipe.read(1):
-        raise ValueError("a share came back longer than its row count")
-
-
 def _split_loadtxt(cuts: list[int], share) -> np.ndarray:
     """The cells of the body cut at ``cuts``, where ``share(lo, hi)`` gives
     those of one share as an n-by-2 array, in one C-contiguous (2, n) array
     of times and values: forked children parse the first shares, this
-    process the rest of the body, then reads each child's cells into place
-    and copies its own last. A child that fails raises ValueError here; when
-    anything is raised, the children still running are killed."""
+    process the rest, then reads each child's times and values into place
+    and copies its own cells last. A child that fails raises ValueError
+    here; when anything is raised, the children still running are killed."""
     pids, pipes = [], []
     try:
         with contextlib.suppress(OSError):  # a refused pipe or fork
@@ -210,7 +195,12 @@ def _split_loadtxt(cuts: list[int], share) -> np.ndarray:
                 r, w = os.pipe()
                 pipes.append(open(r, "rb"))
                 with open(w, "wb") as out:  # the parent's write end closes here
-                    pid = os.fork()
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns at a fork beside other threads (a
+                        # BLAS pool). The child takes none of their locks: it
+                        # runs only numpy's reader, a pipe write and os._exit.
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
                     if pid == 0:
                         # Holding no read end, a child whose pipe is closed
                         # unread (its parent gone) stops at a broken pipe,
@@ -227,7 +217,11 @@ def _split_loadtxt(cuts: list[int], share) -> np.ndarray:
         joined = np.empty((2, sum(rows) + len(cells)))
         at = 0
         for pipe, m in zip(pipes, rows):
-            _read_rows(pipe, joined[:, at:at + m])
+            for column in joined[:, at:at + m]:  # its times, then its values
+                if pipe.readinto(column) != column.nbytes:
+                    raise ValueError("a share came back short")
+            if pipe.read(1):
+                raise ValueError("a share came back longer than its row count")
             at += m
         joined[:, at:] = cells.T
     except BaseException:
@@ -247,7 +241,7 @@ def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
     """The series of a file of ``end`` bytes, by the gated read (see _cuts and
     _share for ``find`` and ``read``) or else by the checked scan of ``whole()``."""
     head = read(0, find(b"\n", 0) + 1)[0]  # b"" without a line end: no header
-    with contextlib.suppress(ParseError, ValueError, Warning):
+    with contextlib.suppress(ParseError, ValueError):
         header = head.decode("utf-8").removeprefix(_BOM).splitlines()
         if len(header) == 1 and header[0].strip():
             delimiter, cols, meta = _header(header[0].strip(), 1, source_id)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io
 import math
 import os
 import random
 import signal
+import struct
 import threading
 import time
 import tracemalloc
@@ -744,10 +746,9 @@ class TestSplitRead:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_series_adopts_the_array_it_was_read_into(
             self, tmp_path, monkeypatch, forks, no_scan, kills, cpus):
-        # Every child's rows pass through several blocks, the last one
-        # partial, into one (2, n) array that the series keeps as its t and v.
+        # Every child's times and values land straight in one (2, n) array
+        # that the series keeps as its t and v.
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
         _cpus(monkeypatch, cpus)
         text = _noisy_rows(20261030, 40)
         assert len(_cuts(text.encode(), text.index("\n") + 1)) == cpus + 1
@@ -763,28 +764,47 @@ class TestSplitRead:
         assert len(forks) == 2 * (cpus - 1) and kills == []
         _no_child_left()
 
+    def test_child_sends_its_count_then_its_times_then_its_values(self):
+        body = b"0.5,-1\n1,3e-7\n2.25,4\n"
+        r, w = os.pipe()
+        with open(r, "rb") as pipe:
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        ingest._child(out, lambda: ingest._share(
+                            lambda lo, hi: (body[lo:hi], 0), 0, len(body), ",", (0, 1)))
+                    finally:
+                        os._exit(1)
+            sent = pipe.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert sent == (3).to_bytes(8, "little") + struct.pack(
+            "=6d", 0.5, 1.0, 2.25, -1.0, 3e-7, 4.0)
+
     @pytest.mark.parametrize("sent, status", [
-        (lambda count, cells: count[:4], 0),
-        (lambda count, cells: b"", 0),
-        (lambda count, cells: count + cells[:-16], 0),
-        (lambda count, cells: count + cells[:-8], 0),
-        (lambda count, cells: count + cells + cells[:16], 0),
-        (lambda count, cells: count + cells, 1),
-    ], ids=["short-count", "nothing", "a-row-fewer", "half-a-row-fewer",
-            "a-row-more", "exit-status-1"])
+        (lambda count, t, v: count[:4], 0),
+        (lambda count, t, v: b"", 0),
+        (lambda count, t, v: count + t[:-8] + v[:-8], 0),
+        (lambda count, t, v: count + t[:-8] + v, 0),
+        (lambda count, t, v: count + t + v[:-8], 0),
+        (lambda count, t, v: count + t + v + v[:8], 0),
+        (lambda count, t, v: count + t + t[:8] + v + v[:8], 0),
+        (lambda count, t, v: count + t + v, 1),
+    ], ids=["short-count", "nothing", "a-row-fewer", "a-time-fewer",
+            "a-value-fewer", "8-bytes-more", "a-row-more", "exit-status-1"])
     def test_child_that_sends_a_wrong_share_sends_the_file_to_the_scan(
             self, monkeypatch, forks, scans, sent, status):
-        # The child parses its share, then sends ``sent`` of its count and
-        # cells and exits with ``status``; the scan reads the file to the
-        # reference outcome, here a series.
+        # The child parses its share, then sends ``sent`` of its count, its
+        # times and its values and exits with ``status``; the scan reads the
+        # file to the reference outcome, here a series.
         monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 100)
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
         _cpus(monkeypatch, 2)
 
         def child(out, cells):
             try:
                 rows = cells()
-                out.write(sent(len(rows).to_bytes(8, "little"), rows.tobytes()))
+                out.write(sent(len(rows).to_bytes(8, "little"),
+                               rows[:, 0].tobytes(), rows[:, 1].tobytes()))
                 out.close()
             finally:
                 os._exit(status)
@@ -939,6 +959,65 @@ class TestSplitRead:
         monkeypatch.delattr(os, "fork")
         assert _outcome(parse_trace, text) == want
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("read", ["parse", "load"])
+    def test_one_process_beside_a_reaping_sigchld_handler(
+            self, tmp_path, monkeypatch, forks, no_scan, read):
+        # A handler that reaps every child (a common daemon pattern) could
+        # take a child's status before this process waits for it. Here this
+        # process's own share is slow, so a child would exit before that.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 2)
+        read = parse_trace if read == "parse" else _load(tmp_path)
+        text = "t,v\n0,1\n1,2\n2,3\n"
+        want = _outcome(read, text)
+        assert len(forks) == 1
+        reaped = []
+
+        def reap(signum, frame):
+            with contextlib.suppress(ChildProcessError):
+                while pid := os.waitpid(-1, os.WNOHANG)[0]:
+                    reaped.append(pid)
+
+        parent, loadtxt = os.getpid(), ingest._loadtxt
+
+        def slow(*args):
+            if os.getpid() == parent:
+                time.sleep(0.2)
+            return loadtxt(*args)
+
+        monkeypatch.setattr(ingest, "_loadtxt", slow)
+        previous = signal.signal(signal.SIGCHLD, reap)
+        try:
+            assert _outcome(read, text) == want
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1 and reaped == []
+
+    def test_fork_warning_is_not_raised(self, monkeypatch, forks, no_scan):
+        # Python 3.12+ warns in the parent when a process holding other OS
+        # threads forks; under an "error" filter the warning would leave the
+        # child unknown to this process and send the file to the scan.
+        monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 1)
+        _cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                              "use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        text = _noisy_rows(20261032, 40)
+        want = _outcome(_reference_auto, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(parse_trace, text) == want
+        assert len(forks) == 1
+        _no_child_left()
 
     @pytest.mark.parametrize("text", ["t,v\n0,1\n1,2\n2,3\n",  # clean
                                       "t,v\n0,1\n\n\n\n\n",  # an empty share
