@@ -7,6 +7,11 @@ Three subcommands cover the pipeline end to end:
   writing a JSON report plus a per-window CSV;
 * ``jerklab horizon``  — report per-candidate prediction horizons.
 
+Each command's settings are one table keyed by the library's own parameter
+names, holding its defaults (``_SIMULATE``, ``_COMPARE``). A JSON
+``--config`` file overrides the table, flags override the file, and the
+result goes to the library as keyword arguments.
+
 Exit statuses: 0 success; 1 I/O or data failure; 2 usage/validation failure.
 """
 
@@ -19,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
@@ -33,70 +37,54 @@ _COMPARISON = inspect.signature(build_comparison).parameters
 _HORIZON_THRESHOLD = 1.0
 
 
-class _ConfigFile:
-    """The ``--config`` reader that both config classes share."""
-    @classmethod
-    def from_file(cls, path: str):
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot open config {path}: {exc}") from None
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValidationError(f"config {path} must hold a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"config {path} has unknown keys: "
-                                  f"{', '.join(unknown)}")
-        try:
-            checked = {key: _field_value(cls, key, value) for key, value in doc.items()}
-        except ValidationError as exc:
-            raise ValidationError(f"config {path}: {exc}") from None
-        return replace(cls(), **checked)
+#: Every setting ``simulate`` reads, keyed by the library's parameter name
+#: (``ic`` is ``IntegratorConfig``'s ``initial_state``), with its default.
+_SIMULATE = {"a": JerkParams().a, "sign": JerkParams().sign,
+             "ic": DEFAULT_INITIAL_STATE,
+             **{key: getattr(IntegratorConfig(), key)
+                for key in ("method", "step", "t_start", "t_end", "output_points")}}
+#: Every setting ``compare`` and ``horizon`` read: ``build_comparison``'s
+#: keywords with their defaults.
+_COMPARE = {key: _COMPARISON[key].default
+            for key in ("grid_points", "n_windows", "threshold", "mean_from")}
 
 
-@dataclass(frozen=True)
-class SimulateConfig(_ConfigFile):
-    """Every setting ``simulate`` reads, each as the value the library takes.
-    A JSON ``--config`` file sets its fields, flags override single fields,
-    and a key that is not a field is refused."""
-
-    a: float = JerkParams().a
-    sign: Sign = JerkParams().sign
-    ic: SystemState = DEFAULT_INITIAL_STATE
-    method: Method = IntegratorConfig().method
-    step: float = IntegratorConfig().step
-    t_start: float = IntegratorConfig().t_start
-    t_end: float = IntegratorConfig().t_end
-    output_points: int = IntegratorConfig().output_points
-
-
-@dataclass(frozen=True)
-class CompareConfig(_ConfigFile):
-    """Every setting ``compare`` and ``horizon`` read, as ``SimulateConfig`` does."""
-
-    grid_points: int = _COMPARISON["grid_points"].default
-    n_windows: int = _COMPARISON["n_windows"].default
-    threshold: float | None = None
-    mean_from: MeanFrom = _COMPARISON["mean_from"].default
+def _config_file(path: str, table):
+    """The settings of the JSON ``--config`` file ``path``, each checked
+    against ``table``; a key that is not in ``table`` is refused."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open config {path}: {exc}") from None
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ValidationError(f"config {path} has unknown keys: "
+                              f"{', '.join(unknown)}")
+    try:
+        return {key: _field_value(table, key, value) for key, value in doc.items()}
+    except ValidationError as exc:
+        raise ValidationError(f"config {path}: {exc}") from None
 
 
-def _field_value(cls, key: str, value):
-    """``value`` as the field ``key`` of the config class ``cls``: a choice's
-    name (any case) as its member, an ``ic`` list of three finite numbers as
-    a ``SystemState``, and any other value as it is once it has the JSON type
-    of the field's default: an integer or a finite number (``threshold`` may
-    also be null)."""
-    default = getattr(cls(), key, None)  # None for threshold and an ic component
+def _field_value(table, key: str, value):
+    """``value`` as the setting ``key`` of ``table``: a choice's name (any
+    case) as its member, an ``ic`` list of three finite numbers as a
+    ``SystemState``, an integer as it is where the default is an integer, and
+    any other finite number as a float, as the library reads it
+    (``threshold`` may also be null)."""
+    default = table.get(key)  # None for threshold and an ic component
     if isinstance(default, enum.Enum):
         return type(default).parse(value)
     if isinstance(default, SystemState):
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
-        components = [_field_value(cls, "ic component", v) for v in value]
+        components = [_field_value(table, "ic component", v) for v in value]
         if len(components) != 3:
             raise ValidationError(f"ic must have exactly 3 components, got {len(value)}")
         return SystemState(*components)
@@ -112,34 +100,38 @@ def _field_value(cls, key: str, value):
         want = "a finite number"
     if not ok:
         raise ValidationError(f"{key} must be {want}, got {value!r}")
-    return value
+    return value if type(default) is int else float(value)
 
 
-def _merged_config(args: argparse.Namespace, cls):
-    cfg = cls.from_file(args.config) if args.config else cls()
-    overrides = {f.name: getattr(args, f.name) for f in fields(cls)
-                 if getattr(args, f.name, None) is not None}
-    for key in overrides.keys() - {"ic"}:
-        overrides[key] = _field_value(cls, key, overrides[key])
-    if (text := overrides.get("ic")) is not None:
+def _merged_config(args: argparse.Namespace, table):
+    """A fresh dict of ``table``'s settings: its defaults, then the checked
+    ``--config`` file, then each flag that was given."""
+    cfg = dict(table)
+    if args.config:
+        cfg.update(_config_file(args.config, table))
+    for key in table:  # in table order, so one argv gets one refusal
+        if key != "ic" and (value := getattr(args, key, None)) is not None:
+            cfg[key] = _field_value(table, key, value)
+    if (text := getattr(args, "ic", None)) is not None:
         try:
-            overrides["ic"] = _field_value(cls, "ic", [float(p) for p in text.split(",")])
+            cfg["ic"] = _field_value(table, "ic", [float(p) for p in text.split(",")])
         except ValidationError as exc:
             raise ValidationError(f"--ic: {exc}") from None
         except ValueError:  # a part float() cannot read
             raise ValidationError(
                 f"--ic: ic components must be numbers, got {text!r}") from None
-    return replace(cfg, **overrides)
+    return cfg
 
 
 #: The windows CSV's first column, the sample count that ends each prefix.
 _BOUNDARY_COLUMN = "prefix_end"
 
 
-def _build_report(args: argparse.Namespace, cfg: CompareConfig, outputs):
-    """Load the measured and candidate traces and score them: the pipeline
-    that ``compare`` and ``horizon`` share. ``outputs`` are the (label, path)
-    pairs of the files the command will write."""
+def _build_report(args: argparse.Namespace, cfg, outputs):
+    """Load the measured and candidate traces and score them with the
+    ``build_comparison`` settings ``cfg``: the pipeline that ``compare`` and
+    ``horizon`` share. ``outputs`` are the (label, path) pairs of the files
+    the command will write."""
     def load(path, source_id):
         try:
             return load_trace(path, source_id=source_id)
@@ -176,13 +168,7 @@ def _build_report(args: argparse.Namespace, cfg: CompareConfig, outputs):
         taken[key] = label
     measured = load(args.measured, "measured")
     candidates = {name: load(path, name) for name, path in paths.items()}
-    return build_comparison(
-        measured, candidates,
-        grid_points=cfg.grid_points,
-        n_windows=cfg.n_windows,
-        mean_from=cfg.mean_from,
-        threshold=cfg.threshold,
-    )
+    return build_comparison(measured, candidates, **cfg)
 
 
 def _report_payload(report, threshold):
@@ -232,16 +218,9 @@ def _write_windows_csv(path: str, report) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, SimulateConfig)
-    params = JerkParams(a=cfg.a, sign=cfg.sign)
-    config = IntegratorConfig(
-        method=cfg.method,
-        t_start=cfg.t_start,
-        t_end=cfg.t_end,
-        step=cfg.step,
-        initial_state=cfg.ic,
-        output_points=cfg.output_points,
-    )
+    cfg = _merged_config(args, _SIMULATE)
+    params = JerkParams(a=cfg.pop("a"), sign=cfg.pop("sign"))
+    config = IntegratorConfig(initial_state=cfg.pop("ic"), **cfg)
     result = simulate(config, params)
     # The trace carries the xdd channel: the measurable node in the analogue
     # realization this pipeline's comparisons are styled after.
@@ -255,12 +234,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, CompareConfig)
+    cfg = _merged_config(args, _COMPARE)
     windows_path = args.windows_out or str(
         Path(args.report).with_name(Path(args.report).stem + "_windows.csv"))
     report = _build_report(args, cfg, [("--report", args.report),
                                        ("windows CSV", windows_path)])
-    _write_report_json(args.report, _report_payload(report, cfg.threshold))
+    _write_report_json(args.report, _report_payload(report, cfg["threshold"]))
     _write_windows_csv(windows_path, report)
     for cand in report.candidates:
         marker = "  <- reference" if cand.id == report.reference_id else ""
@@ -272,9 +251,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_horizon(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, CompareConfig)
-    if cfg.threshold is None:
-        cfg = replace(cfg, threshold=_HORIZON_THRESHOLD)
+    cfg = _merged_config(args, _COMPARE)
+    if cfg["threshold"] is None:
+        cfg["threshold"] = _HORIZON_THRESHOLD
     report = _build_report(args, cfg, [("--report", args.report)] if args.report else [])
     for cand in report.candidates:
         hz = cand.horizon
@@ -283,14 +262,14 @@ def cmd_horizon(args: argparse.Namespace) -> int:
     best = max(report.candidates, key=lambda c: c.horizon.time)  # first of a tie
     print(f"winner: {best.id} (horizon={format_float(best.horizon.time)})")
     if args.report:
-        _write_report_json(args.report, _report_payload(report, cfg.threshold))
+        _write_report_json(args.report, _report_payload(report, cfg["threshold"]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    sd, cd = SimulateConfig(), CompareConfig()  # every "(default ...)" below
+    sd, cd = _SIMULATE, _COMPARE  # every "(default ...)" below
     num = format_float
     parser = argparse.ArgumentParser(
         prog="jerklab",
@@ -307,30 +286,30 @@ def _build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--candidate", action="append", required=True,
                         metavar="NAME=FILE", help="candidate trace (repeatable)")
     traces.add_argument("--windows", type=int, dest="n_windows",
-                        help=f"number of cumulative windows (default {num(cd.n_windows)})")
+                        help=f"number of cumulative windows (default {num(cd['n_windows'])})")
     traces.add_argument("--grid-points", type=int, dest="grid_points",
-                        help=f"common-grid sample count (default {num(cd.grid_points)})")
+                        help=f"common-grid sample count (default {num(cd['grid_points'])})")
     traces.add_argument("--nrmse-mean", choices=[m.name.lower() for m in MeanFrom],
                         dest="mean_from", help="which series supplies the "
-                        f"normalizing mean (default {cd.mean_from.name.lower()})")
+                        f"normalizing mean (default {cd['mean_from'].name.lower()})")
 
     sim = sub.add_parser("simulate", parents=[config],
                          help="integrate the system, write a trace CSV")
     sim.add_argument("--a", type=float, dest="a",
-                     help=f"bifurcation parameter (default {num(sd.a)})")
+                     help=f"bifurcation parameter (default {num(sd['a'])})")
     sim.add_argument("--sign", choices=[m.name.lower() for m in Sign],
-                     help=f"sign of the quadratic term (default {sd.sign.name.lower()})")
+                     help=f"sign of the quadratic term (default {sd['sign'].name.lower()})")
     sim.add_argument("--ic", help="initial state as X,XD,XDD "
-                                  f"(default {','.join(map(num, sd.ic.as_tuple()))})")
+                                  f"(default {','.join(map(num, sd['ic'].as_tuple()))})")
     sim.add_argument("--method", choices=[m.name.lower() for m in Method],
-                     help=f"integration method (default {sd.method.name.lower()})")
+                     help=f"integration method (default {sd['method'].name.lower()})")
     sim.add_argument("--h", type=float, dest="step",
                      help="step ceiling (fixed-step) or initial step (rk45); "
-                          f"default {num(sd.step)}")
+                          f"default {num(sd['step'])}")
     sim.add_argument("--t-end", type=float, dest="t_end",
-                     help=f"end of the integration span (default {num(sd.t_end)})")
+                     help=f"end of the integration span (default {num(sd['t_end'])})")
     sim.add_argument("--points", type=int, dest="output_points",
-                     help=f"number of output samples (default {num(sd.output_points)})")
+                     help=f"number of output samples (default {num(sd['output_points'])})")
     sim.add_argument("--out", required=True, help="output trace CSV path")
     sim.set_defaults(func=cmd_simulate)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import os
@@ -18,23 +19,26 @@ from pathlib import Path
 
 import pytest
 
-from jerklab import (MeanFrom, Method, Sign, SystemState, build_comparison,
+from jerklab import (DEFAULT_INITIAL_STATE, IntegratorConfig, JerkParams,
+                     MeanFrom, Method, Sign, SystemState, build_comparison,
                      format_float, load_trace, parse_trace)
 from jerklab import cli
-from jerklab.cli import CompareConfig, SimulateConfig, main
+from jerklab.cli import main
 
 from conftest import mk_ts, run_python
 
-#: The config class of each command: the only keys its ``--config`` accepts.
-CONFIGS = {"simulate": SimulateConfig, "compare": CompareConfig,
-           "horizon": CompareConfig}
-#: A value other than the default for every key of each config class.
+#: The settings table of each command: the only keys its ``--config`` accepts.
+CONFIGS = {"simulate": cli._SIMULATE, "compare": cli._COMPARE,
+           "horizon": cli._COMPARE}
+_TRACE_VALUES = {"grid_points": 51, "n_windows": 5, "threshold": 0.5,
+                 "mean_from": "measured"}
+#: A value other than the default for every key of each command's table.
 OTHER_VALUES = {
-    SimulateConfig: {"a": 2.05, "sign": "plus", "ic": [0.0, 0.0, 0.2],
-                     "method": "euler", "step": 2e-3, "t_start": 0.5,
-                     "t_end": 3.0, "output_points": 31},
-    CompareConfig: {"grid_points": 51, "n_windows": 5, "threshold": 0.5,
-                    "mean_from": "measured"},
+    "simulate": {"a": 2.05, "sign": "plus", "ic": [0.0, 0.0, 0.2],
+                 "method": "euler", "step": 2e-3, "t_start": 0.5,
+                 "t_end": 3.0, "output_points": 31},
+    "compare": _TRACE_VALUES,
+    "horizon": _TRACE_VALUES,
 }
 
 
@@ -738,21 +742,21 @@ class TestConfigFile:
         assert "cannot open config" in stderr
 
     _TRACE_CASE = (
-        OTHER_VALUES[CompareConfig],
+        _TRACE_VALUES,
         ["--grid-points", "51", "--windows", "5", "--threshold", "0.5",
          "--nrmse-mean", "measured"],
-        CompareConfig(grid_points=51, n_windows=5, threshold=0.5,
-                      mean_from=MeanFrom.MEASURED))
+        {"grid_points": 51, "n_windows": 5, "threshold": 0.5,
+         "mean_from": MeanFrom.MEASURED})
 
     @pytest.mark.parametrize("command,doc,flags,want", [
         ("simulate",
          {"a": 2.05, "sign": "plus", "method": "euler", "ic": [0.5, -1, 0.25],
-          "step": 2e-3, "t_end": 3.0, "output_points": 31},
+          "step": 2e-3, "t_end": 3, "output_points": 31},
          ["--a", "2.05", "--sign", "plus", "--method", "euler",
           "--ic", "0.5,-1,0.25", "--h", "0.002", "--t-end", "3", "--points", "31"],
-         SimulateConfig(a=2.05, sign=Sign.PLUS, method=Method.EULER,
-                        ic=SystemState(0.5, -1.0, 0.25), step=2e-3, t_end=3.0,
-                        output_points=31)),
+         {"a": 2.05, "sign": Sign.PLUS, "ic": SystemState(0.5, -1.0, 0.25),
+          "method": Method.EULER, "step": 2e-3, "t_start": 0.0, "t_end": 3.0,
+          "output_points": 31}),
         ("compare", *_TRACE_CASE),
         ("horizon", *_TRACE_CASE),
     ], ids=["simulate", "compare", "horizon"])
@@ -767,13 +771,17 @@ class TestConfigFile:
         from_file = merged([command, "--config", str(cfg), *rest])
         from_flags = merged([command, *flags, *rest])
         assert from_file == from_flags == want
+        # Of the same types too: the file's integer t_end is the float the
+        # flag gives, as the library reads it.
+        types = lambda cfg: {key: type(value) for key, value in cfg.items()}
+        assert types(from_file) == types(from_flags)
 
     def test_run_config_holds_the_library_values(self):
-        sim, comp = SimulateConfig(), CompareConfig()
-        assert isinstance(sim.sign, Sign)
-        assert isinstance(sim.method, Method)
-        assert isinstance(comp.mean_from, MeanFrom)
-        assert isinstance(sim.ic, SystemState)
+        sim, comp = cli._SIMULATE, cli._COMPARE
+        assert isinstance(sim["sign"], Sign)
+        assert isinstance(sim["method"], Method)
+        assert isinstance(comp["mean_from"], MeanFrom)
+        assert isinstance(sim["ic"], SystemState)
 
     def test_non_finite_flag_gets_the_config_wording(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
@@ -781,6 +789,18 @@ class TestConfigFile:
         assert code == 2
         assert stderr == "error: a must be a finite number, got nan\n"
         assert not out.exists()
+
+    def test_several_bad_flags_get_one_refusal_under_any_hash_seed(
+            self, monkeypatch, tmp_path):
+        # Flags are checked in table order, not in a set's order, which
+        # follows the process's string hash seed.
+        argv = ["-m", "jerklab", "simulate", "--t-end", "nan", "--h", "nan",
+                "--a", "nan", "--out", str(tmp_path / "x.csv")]
+        for seed in ("0", "1", "2", "3"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            proc = run_python(*argv)
+            assert proc.returncode == 2
+            assert proc.stderr == "error: a must be a finite number, got nan\n", seed
 
     def test_config_ic_as_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -790,6 +810,27 @@ class TestConfigFile:
             capsys, "simulate", "--config", str(cfg),
             "--out", str(tmp_path / "x.csv"))
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["compare", "horizon"])
+    def test_integer_threshold_writes_the_flags_report(self, capsys, trace_dir,
+                                                       command):
+        # A config file's integer reaches the report as the float the flag
+        # gives, so the same settings give the same report bytes.
+        tmp_path, files = trace_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 1}))
+        inputs = ["--measured", files["measured"],
+                  "--candidate", f"rough={files['rough']}"]
+        written = []
+        for name, settings in (("file", ["--config", str(cfg)]),
+                               ("flag", ["--threshold", "1"])):
+            report = tmp_path / f"{name}.json"
+            code, _, stderr = run_cli(capsys, command, *settings, *inputs,
+                                      "--report", str(report))
+            assert code == 0, stderr
+            written.append(report.read_bytes())
+        assert b'"threshold": 1.0\n' in written[1]
+        assert written[0] == written[1]
 
 
 def _config_run(capsys, trace_dir, command, doc):
@@ -819,26 +860,26 @@ class TestEveryAcceptedKeyIsRead:
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))
     def test_each_key_changes_the_output(self, capsys, trace_dir, command):
-        cls = CONFIGS[command]
-        other = OTHER_VALUES[cls]
-        assert list(other) == [f.name for f in dataclasses.fields(cls)]
+        table = CONFIGS[command]
+        other = OTHER_VALUES[command]
+        assert list(other) == list(table)
         base = self.BASE[command]
         before = _config_run(capsys, trace_dir, command, base)
         for key, value in other.items():
-            assert cli._field_value(cls, key, value) != getattr(cls(), key), key
+            assert cli._field_value(table, key, value) != table[key], key
             assert value != base.get(key), key
             after = _config_run(capsys, trace_dir, command, {**base, key: value})
             assert after != before, key
 
     @pytest.mark.parametrize("command,key", [
-        (command, key) for command, cls in sorted(CONFIGS.items())
-        for other, values in OTHER_VALUES.items() if other is not cls
-        for key in values])
+        (command, key) for command in sorted(CONFIGS)
+        for other in ("compare", "simulate") if CONFIGS[other] is not CONFIGS[command]
+        for key in OTHER_VALUES[other]])
     def test_key_of_another_command_refused(self, capsys, tmp_path, command,
                                             key):
-        other = next(c for c in OTHER_VALUES if c is not CONFIGS[command])
+        value = {**OTHER_VALUES["simulate"], **OTHER_VALUES["compare"]}[key]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: OTHER_VALUES[other][key]}))
+        cfg.write_text(json.dumps({key: value}))
         missing = str(tmp_path / "nope.csv")  # read only after the config
         rest = (["--out", str(tmp_path / "x.csv")] if command == "simulate"
                 else ["--measured", missing, "--candidate", f"a={missing}",
@@ -851,14 +892,50 @@ class TestEveryAcceptedKeyIsRead:
 
     def test_readme_lists_each_commands_keys(self):
         # README states which keys each command's config file accepts; it
-        # must name the fields of the config class, in order.
+        # must name the keys of the command's settings table, in order.
         readme = Path(__file__).resolve().parents[1] / "README.md"
         rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| `([\w, ]+)` \|$",
                           readme.read_text(encoding="utf-8"), re.MULTILINE)
         listed = {command.strip("`"): keys.split(", ")
                   for commands, keys in rows for command in commands.split(", ")}
-        assert listed == {command: [f.name for f in dataclasses.fields(cls)]
-                          for command, cls in CONFIGS.items()}
+        assert listed == {command: list(table)
+                          for command, table in CONFIGS.items()}
+
+
+class TestSettingsTables:
+    """Each command's table holds the library's parameter names and defaults,
+    and no run changes it."""
+
+    @staticmethod
+    def _same(value, default):
+        return type(value) is type(default) and value == default
+
+    def test_compare_keys_are_build_comparison_keywords(self):
+        params = inspect.signature(build_comparison).parameters
+        for key, default in cli._COMPARE.items():
+            assert params[key].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, key
+            assert self._same(default, params[key].default), key
+
+    def test_simulate_keys_are_library_fields(self):
+        library = {f.name: f.default
+                   for cls in (JerkParams, IntegratorConfig)
+                   for f in dataclasses.fields(cls)}
+        for key, default in cli._SIMULATE.items():
+            if key == "ic":
+                assert self._same(default, DEFAULT_INITIAL_STATE)
+                assert self._same(default, library["initial_state"])
+            else:
+                assert self._same(default, library[key]), key
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_running_a_command_leaves_the_tables_unchanged(self, capsys,
+                                                           trace_dir, command):
+        before = {name: dict(table) for name, table in CONFIGS.items()}
+        # Once on the defaults (horizon then supplies its threshold), once
+        # with every key set.
+        for doc in ({}, OTHER_VALUES[command]):
+            _config_run(capsys, trace_dir, command, doc)
+            assert {name: dict(table) for name, table in CONFIGS.items()} == before
 
 
 class TestModuleEntryPoint:
@@ -905,7 +982,7 @@ class TestHelpDefaults:
         options = _options(command)
         shown = {}
         for flag, field in self.FLAGS[command].items():
-            value = getattr(CONFIGS[command](), field)
+            value = CONFIGS[command][field]
             if isinstance(value, enum.Enum):
                 shown[flag] = value.name.lower()
             elif isinstance(value, SystemState):

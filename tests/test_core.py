@@ -22,7 +22,7 @@ from jerklab import (
     ValidationError,
     in_chaotic_range,
 )
-from jerklab.cli import CompareConfig, SimulateConfig
+from jerklab import cli
 from jerklab.core import _rhs
 
 MINUS, PLUS = Sign.MINUS.value, Sign.PLUS.value
@@ -184,8 +184,8 @@ def test_public_surface_resolves_without_the_removed_wrappers():
         params = inspect.signature(reader).parameters
         assert "fmt" not in params
         assert params["source_id"].kind is inspect.Parameter.KEYWORD_ONLY
-    for config in (SimulateConfig, CompareConfig):
-        assert "format" not in {f.name for f in dataclasses.fields(config)}
+    for table in (cli._SIMULATE, cli._COMPARE):
+        assert "format" not in table
 
 
 def test_version_matches_pyproject():
