@@ -8,7 +8,8 @@ Three subcommands cover the pipeline end to end:
 * ``jerklab horizon``  — report per-candidate prediction horizons.
 
 Each command's settings are one table keyed by the library's own parameter
-names, holding its defaults (``_SIMULATE``, ``_COMPARE``). A JSON
+names, holding its defaults (``_SIMULATE``, ``_COMPARE``, and ``_HORIZON``:
+``_COMPARE`` with a threshold of 1.0, the one default the CLI owns). A JSON
 ``--config`` file overrides the table, flags override the file, and the
 result goes to the library as keyword arguments.
 
@@ -27,14 +28,12 @@ import sys
 from pathlib import Path
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, Sign, SystemState
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _require_member
 from .ingest import format_float, load_trace, write_series_csv
 from .integrate import IntegratorConfig, Method, simulate
 from .metrics import MeanFrom, build_comparison
 
 _COMPARISON = inspect.signature(build_comparison).parameters
-#: The NRMSE threshold ``horizon`` uses when neither a flag nor the config sets one.
-_HORIZON_THRESHOLD = 1.0
 
 
 #: Every setting ``simulate`` reads, keyed by the library's parameter name
@@ -47,6 +46,8 @@ _SIMULATE = {"a": JerkParams().a, "sign": JerkParams().sign,
 #: keywords with their defaults.
 _COMPARE = {key: _COMPARISON[key].default
             for key in ("grid_points", "n_windows", "threshold", "mean_from")}
+#: Every setting ``horizon`` reads: ``compare``'s, with a threshold of 1.0.
+_HORIZON = {**_COMPARE, "threshold": 1.0}
 
 
 def _config_file(path: str, table):
@@ -74,13 +75,15 @@ def _config_file(path: str, table):
 
 def _field_value(table, key: str, value):
     """``value`` as the setting ``key`` of ``table``: a choice's name (any
-    case) as its member, an ``ic`` list of three finite numbers as a
+    ASCII case) as its member, an ``ic`` list of three finite numbers as a
     ``SystemState``, an integer as it is where the default is an integer, and
     any other finite number as a float, as the library reads it
-    (``threshold`` may also be null)."""
-    default = table.get(key)  # None for threshold and an ic component
+    (``threshold`` may also be null, which means the table's default)."""
+    default = table.get(key)  # None for compare's threshold and an ic component
     if isinstance(default, enum.Enum):
-        return type(default).parse(value)
+        *names, last = (f"'{m.name.lower()}'" for m in type(default))
+        return _require_member(type(default), value, f"{key} must be "
+                               f"{', '.join(names)} or {last}, got {{!r}}")
     if isinstance(default, SystemState):
         if not isinstance(value, list):
             raise ValidationError(f"ic must be three numbers, got {value!r}")
@@ -91,7 +94,7 @@ def _field_value(table, key: str, value):
     if type(default) is int:
         ok, want = type(value) is int, "an integer"
     elif key == "threshold" and value is None:
-        return value
+        return default
     else:
         try:
             ok = type(value) in (int, float) and math.isfinite(value)
@@ -251,9 +254,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_horizon(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, _COMPARE)
-    if cfg["threshold"] is None:
-        cfg["threshold"] = _HORIZON_THRESHOLD
+    cfg = _merged_config(args, _HORIZON)
     report = _build_report(args, cfg, [("--report", args.report)] if args.report else [])
     for cand in report.candidates:
         hz = cand.horizon
@@ -269,7 +270,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    sd, cd = _SIMULATE, _COMPARE  # every "(default ...)" below
+    sd, cd, hd = _SIMULATE, _COMPARE, _HORIZON  # every "(default ...)" below
     num = format_float
     parser = argparse.ArgumentParser(
         prog="jerklab",
@@ -327,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hor = sub.add_parser("horizon", parents=[config, traces],
                          help="per-candidate prediction horizons")
     hor.add_argument("--threshold", type=float,
-                     help=f"NRMSE threshold (default {num(_HORIZON_THRESHOLD)})")
+                     help=f"NRMSE threshold (default {num(hd['threshold'])})")
     hor.add_argument("--report", help="optional JSON report path")
     hor.set_defaults(func=cmd_horizon)
 

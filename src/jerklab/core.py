@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ValidationError, _require_float, _require_member
+from .errors import ValidationError, _require_float
 
 #: Open interval of the bifurcation parameter on which the dynamics are
 #: chaotic.  Both endpoints are truncated decimals of irrational boundaries,
@@ -35,10 +35,6 @@ class Sign(enum.Enum):
 
     MINUS = -1.0
     PLUS = 1.0
-
-    @classmethod
-    def parse(cls, text: str) -> "Sign":
-        return _require_member(cls, text, "sign must be 'minus' or 'plus', got {!r}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import DEFAULT_INITIAL_STATE, JerkParams, SystemState, _rhs
 from .errors import (IntegrationOverflowError, ValidationError, _require_float,
-                     _require_int, _require_member)
+                     _require_int)
 from .series import SeriesMeta, UniformSeries
 
 #: Adaptive-step controller constants (classical values).
@@ -57,10 +57,6 @@ class Method(enum.Enum):
     EULER = "euler"
     RK4 = "rk4"
     RK45 = "rk45"
-
-    @classmethod
-    def parse(cls, text: str) -> "Method":
-        return _require_member(cls, text, "method must be one of euler, rk4, rk45; got {!r}")
 
 
 @dataclass(frozen=True)
@@ -323,8 +319,11 @@ def simulate(config: IntegratorConfig, params: JerkParams | None = None,
     The output grid spans [t_start, t_end] inclusive of both endpoints.
     Repeated calls with identical inputs produce bit-identical results.
     ``params`` is read once, for ``a`` and ``sign.value``; an object without
-    them raises :class:`~jerklab.errors.ValidationError`.
+    them raises :class:`~jerklab.errors.ValidationError`, as does a ``config``
+    that is no :class:`IntegratorConfig`.
     """
+    if not isinstance(config, IntegratorConfig):
+        raise ValidationError(f"config must be an IntegratorConfig, got {config!r}")
     params = JerkParams() if params is None else params
     try:
         a, sf = params.a, params.sign.value

@@ -40,7 +40,6 @@ from .errors import (
     ValidationError,
     _require_float,
     _require_int,
-    _require_member,
 )
 from .series import TimeSeries, UniformSeries, _as_array, _require_series
 
@@ -50,11 +49,6 @@ class MeanFrom(enum.Enum):
 
     SIMULATED = "simulated"
     MEASURED = "measured"
-
-    @classmethod
-    def parse(cls, text: str) -> "MeanFrom":
-        return _require_member(
-            cls, text, "mean_from must be 'simulated' or 'measured', got {!r}")
 
 
 def _check_same_grid(measured: UniformSeries, simulated: UniformSeries,

@@ -29,7 +29,10 @@ from conftest import mk_ts, run_python
 
 #: The settings table of each command: the only keys its ``--config`` accepts.
 CONFIGS = {"simulate": cli._SIMULATE, "compare": cli._COMPARE,
-           "horizon": cli._COMPARE}
+           "horizon": cli._HORIZON}
+#: Every (command, key) whose setting is a choice: its default is an enum member.
+CHOICES = [(command, key) for command, table in sorted(CONFIGS.items())
+           for key, default in table.items() if isinstance(default, enum.Enum)]
 _TRACE_VALUES = {"grid_points": 51, "n_windows": 5, "threshold": 0.5,
                  "mean_from": "measured"}
 #: A value other than the default for every key of each command's table.
@@ -706,8 +709,8 @@ class TestConfigFile:
         assert "unrecognized arguments: --format auto" in capsys.readouterr().err
 
     def test_choice_names_keep_their_any_case_reading(self, capsys, tmp_path):
-        # A config file's names are checked by the enums' parse, which the
-        # run used before: any case, surrounding spaces stripped.
+        # A config file's names are read in any ASCII case, surrounding
+        # spaces stripped (TestChoiceNames covers every choice key).
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": " RK4", "sign": "Minus",
                                    "t_end": 1.0, "output_points": 11}))
@@ -873,8 +876,8 @@ class TestEveryAcceptedKeyIsRead:
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for command in sorted(CONFIGS)
-        for other in ("compare", "simulate") if CONFIGS[other] is not CONFIGS[command]
-        for key in OTHER_VALUES[other]])
+        for other in ("compare", "simulate") for key in OTHER_VALUES[other]
+        if key not in CONFIGS[command]])
     def test_key_of_another_command_refused(self, capsys, tmp_path, command,
                                             key):
         value = {**OTHER_VALUES["simulate"], **OTHER_VALUES["compare"]}[key]
@@ -927,12 +930,21 @@ class TestSettingsTables:
             else:
                 assert self._same(default, library[key]), key
 
+    def test_horizon_threshold_is_the_one_default_the_cli_owns(self):
+        # horizon needs a threshold, which build_comparison does not default
+        # to; every other horizon setting is compare's, in compare's order.
+        params = inspect.signature(build_comparison).parameters
+        assert params["threshold"].default is None
+        assert cli._HORIZON == {**cli._COMPARE, "threshold": 1.0}
+        assert list(cli._HORIZON) == list(cli._COMPARE)
+        assert type(cli._HORIZON["threshold"]) is float
+
     @pytest.mark.parametrize("command", sorted(CONFIGS))
     def test_running_a_command_leaves_the_tables_unchanged(self, capsys,
                                                            trace_dir, command):
         before = {name: dict(table) for name, table in CONFIGS.items()}
-        # Once on the defaults (horizon then supplies its threshold), once
-        # with every key set.
+        # Once on the defaults (horizon's table then supplies its threshold),
+        # once with every key set.
         for doc in ({}, OTHER_VALUES[command]):
             _config_run(capsys, trace_dir, command, doc)
             assert {name: dict(table) for name, table in CONFIGS.items()} == before
@@ -970,7 +982,7 @@ class TestHelpDefaults:
                      "--method": "method", "--h": "step", "--t-end": "t_end",
                      "--points": "output_points"},
         "compare": _TRACE_FLAGS,
-        "horizon": _TRACE_FLAGS,
+        "horizon": {**_TRACE_FLAGS, "--threshold": "threshold"},
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
@@ -989,18 +1001,105 @@ class TestHelpDefaults:
                 shown[flag] = ",".join(map(format_float, value.as_tuple()))
             else:
                 shown[flag] = format_float(value)
-        if command == "horizon":
-            shown["--threshold"] = format_float(cli._HORIZON_THRESHOLD)
         for flag, text in shown.items():
             flag_help = " ".join(options[flag].help.split())
             assert f"default {text}" in flag_help, flag
             assert flag_help in help_text, flag
 
-    @pytest.mark.parametrize("command,flag,enum_cls", [
-        ("simulate", "--sign", Sign), ("simulate", "--method", Method),
-        ("compare", "--nrmse-mean", MeanFrom), ("horizon", "--nrmse-mean", MeanFrom),
-    ])
-    def test_choices_are_the_enum_member_names(self, command, flag, enum_cls):
-        choices = _options(command)[flag].choices
-        assert set(choices) == {m.name.lower() for m in enum_cls}
-        assert {enum_cls.parse(c) for c in choices} == set(enum_cls)
+    @pytest.mark.parametrize("command,key", CHOICES)
+    def test_choices_are_the_enum_member_names(self, command, key):
+        # The choice's one flag lists its members' lowercase names, and the
+        # config reading gives back each member from its listed name.
+        table = CONFIGS[command]
+        (action,) = {a for a in _options(command).values() if a.dest == key}
+        members = list(type(table[key]))
+        assert action.choices == [m.name.lower() for m in members]
+        assert [cli._field_value(table, key, c) for c in action.choices] == members
+
+
+def _names(command, key):
+    """The lowercase names of the members of ``command``'s choice ``key``."""
+    return [m.name.lower() for m in type(CONFIGS[command][key])]
+
+
+def _refused(command, key, kind):
+    """Config values of one ``kind`` that ``command``'s choice ``key`` refuses."""
+    names = _names(command, key)
+    values = {
+        "other-choices": [name for choice in CHOICES for name in _names(*choice)],
+        "garbage": ["garbage", "", names[0] + "x", f"{names[0]} {names[-1]}"],
+        "not-a-string": [5, 1.5, math.nan, 10**400, None, True, names[:1],
+                         {"name": names[0]}],
+        # Text that Unicode case mapping or stripping would read as a name:
+        # a dotless i as I, a long s as S, a no-break or ideographic space.
+        "non-ascii": ["\u00a0rk4", "s\u0131mulated"] + [
+            variant for name in names
+            for variant in ("\u00a0" + name, name + "\u3000",
+                            name.replace("i", "\u0131"), name.replace("s", "\u017f"))],
+    }[kind]
+    return [value for value in values if value not in names]
+
+
+class TestChoiceNames:
+    """A config file names a choice by one of its enum's members' lowercase
+    names, the names its flag lists. Every key whose table default is an enum
+    member is covered, read from the tables."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        missing = str(tmp_path / "nope.csv")  # read only after the config
+        rest = (["--out", str(tmp_path / "x.csv")] if command == "simulate"
+                else ["--measured", missing, "--candidate", f"a={missing}"])
+        return cfg, run_cli(capsys, command, "--config", str(cfg), *rest)
+
+    def test_the_choice_keys_are_found_in_the_tables(self):
+        assert {("compare", "mean_from"), ("horizon", "mean_from"),
+                ("simulate", "sign"), ("simulate", "method")} <= set(CHOICES)
+
+    @pytest.mark.parametrize("command,key,name", [
+        (command, key, name) for command, key in CHOICES
+        for name in _names(command, key)])
+    def test_any_ascii_case_and_surrounding_spaces_give_the_member(
+            self, tmp_path, command, key, name):
+        table = CONFIGS[command]
+        member = type(table[key])[name.upper()]
+        rest = (["--out", "x.csv"] if command == "simulate"
+                else ["--measured", "m.csv", "--candidate", "c=c.csv"])
+        cfg = tmp_path / "cfg.json"
+        for text in (name, name.upper(), name.capitalize(),
+                     name.capitalize().swapcase(), f"  {name}  ",
+                     f"\t{name.upper()}\n"):
+            cfg.write_text(json.dumps({key: text}))
+            args = cli._build_parser().parse_args([command, "--config", str(cfg),
+                                                   *rest])
+            assert cli._merged_config(args, table)[key] is member, text
+
+    @pytest.mark.parametrize("kind", ["other-choices", "garbage", "not-a-string",
+                                      "non-ascii"])
+    @pytest.mark.parametrize("command,key", CHOICES)
+    def test_anything_else_exits_2_listing_the_names(self, capsys, tmp_path,
+                                                     command, key, kind):
+        names = _names(command, key)
+        quoted = [f"'{name}'" for name in names]
+        values = _refused(command, key, kind)
+        assert values
+        for value in values:
+            cfg, (code, stdout, stderr) = self._run(capsys, tmp_path, command,
+                                                    key, value)
+            assert code == 2, value
+            assert stdout == ""
+            head = f"error: config {cfg}: {key} must be "
+            assert stderr.startswith(head), value
+            listed, got = stderr[len(head):].rsplit(", got ", 1)
+            assert got == f"{value!r}\n"
+            assert re.findall(r"'([^']*)'", listed) == names
+            assert listed == f"{', '.join(quoted[:-1])} or {quoted[-1]}"
+
+    def test_method_refusal_lists_three_names(self, capsys, tmp_path):
+        cfg, (code, _, stderr) = self._run(capsys, tmp_path, "simulate",
+                                           "method", "rk5")
+        assert code == 2
+        assert stderr == (f"error: config {cfg}: method must be 'euler', "
+                          "'rk4' or 'rk45', got 'rk5'\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -110,23 +111,6 @@ class TestSign:
         assert Sign.MINUS.value == -1.0
         assert Sign.PLUS.value == 1.0
 
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("minus", Sign.MINUS), ("plus", Sign.PLUS), ("MINUS", Sign.MINUS),
-         ("Plus", Sign.PLUS), ("  minus  ", Sign.MINUS)],
-    )
-    def test_parse(self, text, expected):
-        assert Sign.parse(text) is expected
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValidationError):
-            Sign.parse("positive-ish")
-        # Names are ASCII: Unicode case mapping would read a dotless i as I
-        # and a long s as S, and str.strip would remove Unicode spaces.
-        for text in ("m\u0131nus", "plu\u017f", "plus\u3000"):
-            with pytest.raises(ValidationError, match="sign must be 'minus' or 'plus'"):
-                Sign.parse(text)
-
 
 class TestSystemState:
     def test_as_tuple(self):
@@ -184,8 +168,11 @@ def test_public_surface_resolves_without_the_removed_wrappers():
         params = inspect.signature(reader).parameters
         assert "fmt" not in params
         assert params["source_id"].kind is inspect.Parameter.KEYWORD_ONLY
-    for table in (cli._SIMULATE, cli._COMPARE):
+    for table in (cli._SIMULATE, cli._COMPARE, cli._HORIZON):
         assert "format" not in table
+    # A choice's name is read only by the CLI, from flags and config files.
+    for cls in (jerklab.Sign, jerklab.Method, jerklab.MeanFrom):
+        assert not hasattr(cls, "parse"), cls
 
 
 def test_version_matches_pyproject():
@@ -196,3 +183,20 @@ def test_version_matches_pyproject():
     text = pyproject.read_text(encoding="utf-8")
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert jerklab.__version__ == re.search(r'^version = "(.*)"$', project, re.M)[1]
+
+
+def test_every_file_parses_as_the_oldest_python_supported():
+    # requires-python states the floor; a file using newer syntax (an
+    # except* clause, say) would fail only on that interpreter. The parser's
+    # feature_version check is best effort: it misses a starred subscript.
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    assert floor is not None
+    version = (int(floor[1]), int(floor[2]))
+    files = sorted(path for top in ("src", "tests", "demos", ".github")
+                   for path in (root / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, filename=str(path), feature_version=version)

@@ -211,15 +211,18 @@ class TestConfigValidation:
         res = simulate(config, conftest.LINEAR_PARAMS)
         assert res.x.values.tolist() != simulate(config, JerkParams()).x.values.tolist()
 
-    def test_method_parse(self):
-        assert Method.parse("rk4") is Method.RK4
-        assert Method.parse(" EULER ") is Method.EULER
-        assert Method.parse("rk45") is Method.RK45
-        with pytest.raises(ValidationError, match="euler, rk4, rk45"):
-            Method.parse("rk5")
-        # Names are ASCII, so Unicode whitespace is not stripped either.
-        with pytest.raises(ValidationError, match="euler, rk4, rk45"):
-            Method.parse("\u00a0rk4")
+    def test_rejects_a_config_that_is_no_integrator_config(self):
+        # Only params is duck-typed; a config of another type, the params
+        # passed in its place included, is named rather than left to fail
+        # on its first missing attribute.
+        params = JerkParams()
+        for config in ("x", None, params, conftest.LINEAR_PARAMS):
+            with pytest.raises(ValidationError) as info:
+                simulate(config)  # type: ignore[arg-type]
+            assert str(info.value) == (
+                f"config must be an IntegratorConfig, got {config!r}")
+        with pytest.raises(ValidationError, match="config must be an IntegratorConfig"):
+            simulate(params, IntegratorConfig())  # type: ignore[arg-type]
 
 
 class TestOutputGrid:

@@ -25,7 +25,6 @@ from jerklab import (
     JerkParams,
     MeanFrom,
     Method,
-    Sign,
     SystemState,
     TimeSeries,
     UniformSeries,
@@ -108,17 +107,6 @@ class TestNrmse:
         assert mea == pytest.approx(
             oracle_nrmse(m.values, s.values, mean_src=m.values), rel=1e-12)
         assert abs(sim - mea) > 1.0  # the variants genuinely differ here
-
-    def test_mean_from_parse(self):
-        assert MeanFrom.parse("simulated") is MeanFrom.SIMULATED
-        assert MeanFrom.parse(" MEASURED ") is MeanFrom.MEASURED
-        with pytest.raises(ValidationError):
-            MeanFrom.parse("both")
-        # Names are ASCII: Unicode case mapping would read a dotless i as I
-        # and a long s as S.
-        for text in ("s\u0131mulated", "mea\u017fured"):
-            with pytest.raises(ValidationError, match="simulated"):
-                MeanFrom.parse(text)
 
     def test_shift_and_scale_invariance(self, rng):
         for _ in range(100):
@@ -591,11 +579,10 @@ def test_non_finite_value_is_a_validation_error(where, value, shown):
     assert str(info.value) == message.replace("{!r}", shown)
 
 
-# Values of the wrong type for floats and enum names, and non-integers for
-# indices: what a bare isfinite, name lookup or "< 0" check lets escape as
-# another exception or lets through.
+# Values of the wrong type for floats, and non-integers for indices: what a
+# bare isfinite or "< 0" check lets escape as another exception or lets
+# through.
 _FLOATS = {"None": None, "abc": "abc", "10**400": 10**400}
-_NAMES = {"None": None, "nan": math.nan, "10**400": 10**400}
 _INDICES = {"None": None, "abc": "abc", "nan": math.nan, "1.5": 1.5}
 # Elements numpy cannot turn into float64 (a string, an int past its range
 # and a complex number), and a None, which numpy reads as nan.
@@ -633,11 +620,6 @@ _ARGUMENTS = {
                              _array_refusals("values", 0, _NOT_REALS), _NOT_REALS),
     "select_reference": (lambda v: select_reference({"{a}": v}),
                          "score for '{a}' must be finite, got {!r}", _FLOATS),
-    "Method.parse": (Method.parse,
-                     "method must be one of euler, rk4, rk45; got {!r}", _NAMES),
-    "MeanFrom.parse": (MeanFrom.parse,
-                       "mean_from must be 'simulated' or 'measured', got {!r}", _NAMES),
-    "Sign.parse": (Sign.parse, "sign must be 'minus' or 'plus', got {!r}", _NAMES),
     "WindowedNrmse.samples": (lambda v: WindowedNrmse(v, (0.1, 0.2)),
                               "samples must be an integer >= 2, got {!r}", _INDICES),
 }
