@@ -39,7 +39,7 @@ are read on one of two paths:
   reported first), split into lines and read row by row with ``float()``
   after stripping whitespace ("." is the only decimal separator; ``1_0`` and
   non-ASCII digits are numbers). The scan names the first faulty row and its
-  line, or returns the series when it finds none.
+  line, or else the :class:`TimeSeries` adopts its rows as one (2, n) array.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
     _share for ``find`` and ``read``) or else by the checked scan of ``whole()``."""
     head = read(0, find(b"\n", 0) + 1)[0]  # b"" without a line end: no header
     with contextlib.suppress(ParseError, ValueError):
-        header = head.decode("utf-8").removeprefix(_BOM).splitlines()
+        header = _lines(head)
         if len(header) == 1 and header[0].strip():
             delimiter, cols, meta = _header(header[0].strip(), 1, source_id)
             # A size below the header's (0 for /proc files) reads no body.
@@ -253,13 +253,13 @@ def _parse(end: int, find, read, whole, source_id: str) -> TimeSeries:
     # Line 0 stands for a missing header: every line is blank.
     start, header = next(_numbered(lines), (0, ""))
     delimiter, cols, meta = _header(header, start, source_id)
-    return _scan(lines, start, cols, delimiter, meta)
+    return TimeSeries._adopt(_scan(lines, start, cols, delimiter), meta)
 
 
-def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
-          meta: SeriesMeta) -> TimeSeries:
-    """Read the rows one by one: the series, or the first fault and its
-    physical line."""
+def _scan(lines: list[str], start: int, cols: tuple[int, int],
+          delimiter: str) -> np.ndarray:
+    """Read the rows one by one: the (2, n) array of times and values, or
+    the first fault and its physical line."""
     need, number = max(cols) + 1, 1
     times: list[float] = []
     values: list[float] = []
@@ -286,7 +286,7 @@ def _scan(lines: list[str], start: int, cols: tuple[int, int], delimiter: str,
         values.append(row[1])
     if len(times) < 2:
         raise InsufficientDataError(number, len(times))
-    return TimeSeries(t=times, v=values, meta=meta)
+    return np.array([times, values])
 
 
 def parse_trace(data: bytes | str, *, source_id: str = "") -> TimeSeries:
@@ -317,17 +317,17 @@ def format_float(value: float) -> str:
 def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
     """Serialize a series to ``t,v`` CSV bytes.
 
-    Output is byte-deterministic for a given series and round-trips through
-    :func:`parse_trace` bit-exactly.
+    Output is byte-deterministic and round-trips through :func:`parse_trace`
+    bit-exactly: a grid that could not be read back, with one sample or times
+    that do not strictly increase, is refused as its ``to_time_series()`` is.
     """
     if isinstance(series, UniformSeries):
-        pairs = zip(series.times().tolist(), series.values.tolist())
-    elif isinstance(series, TimeSeries):
-        pairs = zip(series.t.tolist(), series.v.tolist())
-    else:
+        series = series.to_time_series()
+    elif not isinstance(series, TimeSeries):
         raise ValidationError(
             f"expected a TimeSeries or UniformSeries, got {type(series).__name__}"
         )
+    pairs = zip(series.t.tolist(), series.v.tolist())
     text = "".join(["t,v\n", *[f"{t!r},{v!r}\n" for t, v in pairs]])
     # Only an integral value's repr ends in ".0", and every cell ends at a
     # comma or a newline: dropping ".0" there is format_float on each cell.

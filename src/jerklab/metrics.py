@@ -262,7 +262,8 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     A finite-time proxy for the largest Lyapunov exponent: positive slope
     means the two trajectories separate exponentially (chaos indicator),
     negative means they converge. Indices are 0-based and inclusive, and the
-    range must hold at least 3 samples with strictly nonzero separation.
+    range must hold at least 3 samples with strictly nonzero separation, at
+    times whose spread is nonzero in double precision.
     The logarithms come from ``math.log``, so the last bits of the slope
     depend on the platform's C math library.
     """
@@ -289,6 +290,9 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     l_mean = math.fsum(logs) / n
     cov = math.fsum((times[i] - t_mean) * (logs[i] - l_mean) for i in range(n))
     var = math.fsum((times[i] - t_mean) * (times[i] - t_mean) for i in range(n))
+    if var == 0.0:
+        raise DataError(f"fit range [{start}, {end}] has times with no spread "
+                        "in double precision: the slope is undefined")
     return cov / var
 
 

@@ -1,10 +1,10 @@
 """Trace containers: raw (possibly non-uniform) and uniform-grid series.
 
 Samples are read-only 1-D float64 arrays, validated once; series compare by
-identity. The constructors copy what they are given. A trace file's gated
-read builds its ``(2, n)`` array itself and hands it over whole: the series
-adopts it after the constructor's checks, and its ``t`` and ``v`` are that
-array's two rows.
+identity. The constructors copy what they are given. Both readers of a trace
+file, the gated read and the checked scan, build one ``(2, n)`` array
+themselves and hand it over whole: the series adopts it after the
+constructor's checks, and its ``t`` and ``v`` are that array's two rows.
 """
 
 from __future__ import annotations

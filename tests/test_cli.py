@@ -145,6 +145,20 @@ class TestSimulate:
         assert code == 2
         assert "output_points" in stderr
 
+    def test_grid_that_could_not_be_read_back_is_not_written(self, capsys,
+                                                             tmp_path):
+        # At 1e16 a double's spacing is 2, so the 40 grid times over a span of
+        # 64 cannot all increase; such a file would be refused when read.
+        config = tmp_path / "c.json"
+        config.write_text('{"t_start": 1e16, "t_end": 1.0000000000000064e16}')
+        out = tmp_path / "b.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", str(config), "--points", "40",
+            "--h", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: timestamps must be strictly increasing")
+        assert not out.exists()
+
     def test_plus_sign_and_euler(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
         code, stdout, _ = run_cli(

@@ -8,6 +8,7 @@ import inspect
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,18 +186,41 @@ def test_version_matches_pyproject():
     assert jerklab.__version__ == re.search(r'^version = "(.*)"$', project, re.M)[1]
 
 
+def _starred_since_3_11(tree):
+    """The Starred nodes of ``tree`` that only Python 3.11+ parses (PEP 646):
+    in a subscript's slice, ``a[*b]`` or ``a[1, *b]``, and as the annotation
+    of ``*args``. A parenthesized ``a[(*b,)]`` gives the same tree and is
+    found with them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            cells = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        elif isinstance(node, ast.arguments) and node.vararg is not None:
+            cells = [node.vararg.annotation]
+        else:
+            continue
+        yield from (cell for cell in cells if isinstance(cell, ast.Starred))
+
+
 def test_every_file_parses_as_the_oldest_python_supported():
     # requires-python states the floor; a file using newer syntax (an
     # except* clause, say) would fail only on that interpreter. The parser's
-    # feature_version check is best effort: it misses a starred subscript.
+    # feature_version check is best effort: on 3.11 it refuses except* but
+    # lets PEP 646's starred forms through, so below a 3.11 floor each tree
+    # is also searched for those.
     root = Path(__file__).resolve().parents[1]
     text = (root / "pyproject.toml").read_text(encoding="utf-8")
     floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
     assert floor is not None
     version = (int(floor[1]), int(floor[2]))
+    if sys.version_info >= (3, 11):  # 3.10's own parser refuses the forms
+        forms = ast.parse("a[*b]\na[1, *b]\ndef f(*args: *Ts): pass\n")
+        assert len(list(_starred_since_3_11(forms))) == 3
     files = sorted(path for top in ("src", "tests", "demos", ".github")
                    for path in (root / top).rglob("*.py"))
     assert len(files) > 20
     for path in files:
         source = path.read_text(encoding="utf-8")
-        ast.parse(source, filename=str(path), feature_version=version)
+        tree = ast.parse(source, filename=str(path), feature_version=version)
+        if version < (3, 11):
+            lines = [node.lineno for node in _starred_since_3_11(tree)]
+            assert not lines, f"{path}: 3.11 syntax on lines {lines}"

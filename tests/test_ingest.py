@@ -26,6 +26,7 @@ from jerklab import (
     JerkLabError,
     ParseError,
     TimeSeries,
+    UniformSeries,
     ValidationError,
     format_float,
     load_trace,
@@ -227,6 +228,22 @@ class TestWriting:
         with pytest.raises(ValidationError):
             write_series_csv([1.0, 2.0])  # type: ignore[arg-type]
 
+    def test_refuses_a_grid_whose_times_collapse(self):
+        # At 1e16 a double's spacing is 2: 1e16 + 0.5 rounds to 1e16.
+        s = UniformSeries(1e16, 0.5, [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError,
+                           match=r"^timestamps must be strictly increasing"):
+            write_series_csv(s)
+        with pytest.raises(ParseError, match="time not strictly increasing"):
+            parse_trace(b"t,v\n1e16,1\n1e16,2\n1e16,3\n")
+
+    def test_refuses_a_single_sample(self):
+        with pytest.raises(ValidationError,
+                           match=r"^a series needs at least 2 samples, got 1$"):
+            write_series_csv(UniformSeries(0.0, 1.0, [1.0]))
+        with pytest.raises(InsufficientDataError):
+            parse_trace(b"t,v\n0,1\n")
+
     @staticmethod
     def _joined(t, v) -> bytes:
         rows = "".join(f"{format_float(a)},{format_float(b)}\n" for a, b in zip(t, v))
@@ -303,6 +320,25 @@ def scans(monkeypatch) -> list:
     scan = ingest._scan
     monkeypatch.setattr(ingest, "_scan", lambda *args: calls.append(1) or scan(*args))
     return calls
+
+
+class TestCheckedScan:
+    @pytest.mark.parametrize("text", [
+        "t,v\n0, 1\n1, 2\n",
+        "\nt,v\n0,1\n\n1,2\n",
+        "time\tV(xdd)\n0\t 1\n1\t2\n",
+    ], ids=["spaced_cells", "header_on_line_2", "spaced_export"])
+    def test_series_adopts_one_array(self, tmp_path, scans, text):
+        # The scan's rows land in one (2, n) array, as the gated read's do.
+        for read in (parse_trace, _load(tmp_path)):
+            series = read(text)
+            rows = series.t.base
+            assert rows is series.v.base and rows.shape == (2, 2)
+            assert rows.flags.c_contiguous and rows.dtype == np.float64
+            assert not (rows.flags.writeable or series.t.flags.writeable
+                        or series.v.flags.writeable)
+            assert (series.t.tolist(), series.v.tolist()) == ([0.0, 1.0], [1.0, 2.0])
+        assert len(scans) == 2
 
 
 class TestGatedRead:

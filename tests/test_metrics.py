@@ -958,6 +958,19 @@ class TestDivergenceRate:
         with pytest.raises(ValidationError, match="integer"):
             divergence_rate(a, b, 0.5, 9)
 
+    @pytest.mark.parametrize("t0,dt", [(1e16, 0.5), (0.0, 1e-200)],
+                             ids=["times_round_to_t0", "deviations_underflow"])
+    def test_times_without_spread_name_the_fit_range(self, t0, dt):
+        # Every time rounds to 1e16, or each squared deviation underflows to
+        # 0: the least-squares denominator is 0 and the slope undefined.
+        a = mk_uniform([0.0] * 4, t0=t0, dt=dt)
+        b = mk_uniform([1e-6, 2e-6, 4e-6, 8e-6], t0=t0, dt=dt)
+        with pytest.raises(DataError) as info:
+            divergence_rate(a, b, 0, 2)
+        assert type(info.value) is DataError
+        assert str(info.value) == ("fit range [0, 2] has times with no spread "
+                                   "in double precision: the slope is undefined")
+
     def test_deterministic(self):
         n = 100
         a = mk_uniform([0.0] * n)
