@@ -73,6 +73,7 @@ _BOM = "\ufeff"  # a byte-order mark, dropped from the start of a file
 #: The fewest body bytes the gated read gives one process: a body of
 #: k * _SPLIT_FLOOR bytes or more is parsed in up to k processes at once.
 _SPLIT_FLOOR = 750_000
+_WRITE_ROWS = 1024  # rows whose text write_series_csv builds at once
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -327,14 +328,18 @@ def write_series_csv(series: TimeSeries | UniformSeries) -> bytes:
         raise ValidationError(
             f"expected a TimeSeries or UniformSeries, got {type(series).__name__}"
         )
-    pairs = zip(series.t.tolist(), series.v.tolist())
-    text = "".join(["t,v\n", *[f"{t!r},{v!r}\n" for t, v in pairs]])
-    # Only an integral value's repr ends in ".0", and every cell ends at a
-    # comma or a newline: dropping ".0" there is format_float on each cell.
-    # One copy per statement: no more than two copies of the text at once.
-    text = text.replace(".0,", ",")
-    text = text.replace(".0\n", "\n")
-    return text.encode("utf-8")
+    out, t, v = io.BytesIO(), series.t, series.v
+    out.write(b"t,v\n")
+    for i in range(0, len(t), _WRITE_ROWS):
+        pairs = zip(t[i:i + _WRITE_ROWS].tolist(), v[i:i + _WRITE_ROWS].tolist())
+        text = "".join([f"{a!r},{b!r}\n" for a, b in pairs])
+        # Only an integral value's repr ends in ".0", and every cell ends at a
+        # comma or a newline, a block's last too: dropping ".0" there is
+        # format_float on each cell. No more than two copies of a block at once.
+        text = text.replace(".0,", ",")
+        text = text.replace(".0\n", "\n")
+        out.write(text.encode("utf-8"))
+    return out.getvalue()
 
 
 def load_trace(path: str | PathLike, *,

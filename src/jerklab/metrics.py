@@ -263,7 +263,7 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     means the two trajectories separate exponentially (chaos indicator),
     negative means they converge. Indices are 0-based and inclusive, and the
     range must hold at least 3 samples with strictly nonzero separation, at
-    times whose spread is nonzero in double precision.
+    times whose spread is nonzero and finite in double precision.
     The logarithms come from ``math.log``, so the last bits of the slope
     depend on the platform's C math library.
     """
@@ -288,11 +288,16 @@ def divergence_rate(a: UniformSeries, b: UniformSeries,
     n = len(times)
     t_mean = math.fsum(times) / n
     l_mean = math.fsum(logs) / n
-    cov = math.fsum((times[i] - t_mean) * (logs[i] - l_mean) for i in range(n))
     var = math.fsum((times[i] - t_mean) * (times[i] - t_mean) for i in range(n))
     if var == 0.0:
         raise DataError(f"fit range [{start}, {end}] has times with no spread "
                         "in double precision: the slope is undefined")
+    if not math.isfinite(var):
+        raise DataError(f"fit range [{start}, {end}] has times whose spread "
+                        "overflows double precision: the slope is undefined")
+    # With var finite, each time's offset from the mean is finite and the
+    # logs are bounded, so cov is finite too.
+    cov = math.fsum((times[i] - t_mean) * (logs[i] - l_mean) for i in range(n))
     return cov / var
 
 

@@ -268,6 +268,39 @@ class TestWriting:
         s = mk_uniform(v, t0=0.0, dt=50.0)
         assert write_series_csv(s) == self._joined(s.times().tolist(), v)
 
+    @pytest.mark.parametrize("extra", [1, ingest._WRITE_ROWS])
+    def test_blocks_join_byte_for_byte(self, extra):
+        # The text is built a block of rows at a time. Either side of each
+        # block seam a row holds an integral value, -0.0 or an exponent-form
+        # value, whose ".0" must go or stay as it does in a single text.
+        rows = ingest._WRITE_ROWS
+        n = 2 * rows + extra
+        rng = np.random.default_rng(37)
+        t = np.arange(n, dtype=np.float64)  # integral up to the second seam
+        t[2 * rows - 1:] = 1e20 + 1e5 * np.arange(n - 2 * rows + 1)
+        v = rng.normal(size=n)
+        v[[rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1]] = [
+            -0.0, 3.0, 2.5e-300, 1e22, 7.0]
+        assert [format_float(x) for x in t[[rows - 1, rows, 2 * rows - 1]]] == [
+            "1023", "1024", "1e+20"]
+        assert write_series_csv(mk_ts(t, v)) == self._joined(t.tolist(), v.tolist())
+
+    def test_peak_allocation_of_a_long_trace(self):
+        # Beside the bytes returned, the peak holds the TimeSeries copy of
+        # the times and values (16 bytes a row) and one block's text. Text
+        # built for every row at once would hold the bytes several times over.
+        n = 47_000
+        rng = np.random.default_rng(47)
+        series = UniformSeries(0.0, 1000.0 / (n - 1), rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            out = write_series_csv(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count(b"\n") == n + 1
+        assert peak < len(out) + 16 * n + 2**20, (peak, len(out))
+
     @pytest.mark.parametrize(
         "value,text",
         [(0.0, "0"), (-0.0, "-0"), (1.0, "1"), (-2.5, "-2.5"),

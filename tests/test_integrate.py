@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -478,6 +479,25 @@ class TestEscapePartial:
         last, digest = self.PINNED[method]
         assert err.last_valid_time.hex() == last
         assert hashlib.sha256(simulation_bits(part)).hexdigest() == digest
+
+
+class TestSampleBuffer:
+    """simulate holds a run's states as float64, not as objects per sample."""
+
+    def test_peak_allocation_of_a_long_run(self):
+        # The states take 24 bytes a sample in one buffer, with its spare
+        # growth room, and the three channels' arrays 24 more. A list of
+        # 3-tuples of floats costs about 128 bytes a sample on its own.
+        n = 47_000
+        config = IntegratorConfig(t_end=1000.0, step=0.025, output_points=n)
+        tracemalloc.start()
+        try:
+            result = simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(result.x), len(result.xd), len(result.xdd)] == [n] * 3
+        assert peak < 96 * n, peak / n
 
 
 class TestSensitiveDependence:

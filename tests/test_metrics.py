@@ -971,6 +971,27 @@ class TestDivergenceRate:
         assert str(info.value) == ("fit range [0, 2] has times with no spread "
                                    "in double precision: the slope is undefined")
 
+    @pytest.mark.parametrize("t0,dt", [(1e200, 1e199), (0.0, 1e160)],
+                             ids=["large_t0", "large_dt"])
+    def test_times_whose_spread_overflows_name_the_fit_range(self, t0, dt):
+        # Each squared deviation overflows to inf, which made cov / var a
+        # silent 0.0 where the slope is about ln 2 / dt.
+        a = mk_uniform([0.0] * 4, t0=t0, dt=dt)
+        b = mk_uniform([1e-6, 2e-6, 4e-6, 8e-6], t0=t0, dt=dt)
+        with pytest.raises(DataError) as info:
+            divergence_rate(a, b, 0, 3)
+        assert type(info.value) is DataError
+        assert str(info.value) == ("fit range [0, 3] has times whose spread "
+                                   "overflows double precision: the slope is "
+                                   "undefined")
+
+    def test_a_wide_but_finite_spread_keeps_its_slope(self):
+        dt = 1e150
+        a = mk_uniform([0.0] * 4, dt=dt)
+        b = mk_uniform([1e-6, 2e-6, 4e-6, 8e-6], dt=dt)
+        assert divergence_rate(a, b, 0, 3) == pytest.approx(math.log(2.0) / dt,
+                                                            rel=1e-12)
+
     def test_deterministic(self):
         n = 100
         a = mk_uniform([0.0] * n)
